@@ -12,7 +12,7 @@ from .correction import (
     ratio_scaling,
     stage_corrected_g,
 )
-from .numerics import SingularMatrixError, dense_matrix, fit_slope, lu_solve, vector, wrms_norm
+from .numerics import SingularMatrixError, fit_slope, lu_solve, vector, wrms_norm
 from .pds import (
     GraphLaplacianModel,
     HFormModel,

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 solver failure, 2 invalid configuration.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
 
@@ -49,7 +50,7 @@ def _span(args, which="run"):
 
 
 def _build_config(args, correction=None):
-    scaling = ScalingPolicy(epsilon_fixed=args.eps) if args.eps else ScalingPolicy()
+    scaling = ScalingPolicy() if args.eps is None else ScalingPolicy(epsilon_fixed=args.eps)
     return SolverConfig(
         method=args.method,
         mode=args.mode,
@@ -82,23 +83,22 @@ def _invariant_table(model, traj):
     return rows
 
 
-def _warn_h_form_all_stages(model, config):
-    from .pds import HFormModel
-
-    if isinstance(model, HFormModel) and config.correction == CorrectionMode.ALL:
+def _run(args):
+    """Build the model and config from ``args`` and integrate over the run span."""
+    model = _build_model(args)
+    t0, tf = _span(args)
+    config = _build_config(args)
+    if not model.multiplicand_is_state and config.correction == CorrectionMode.ALL:
         print(
             "warning: all-stages correction on a flux-form model can distort "
             "the wave dynamics; final-stage correction is recommended",
             file=sys.stderr,
         )
+    return model, integrate(model, config, t0, tf, model.y0)
 
 
 def cmd_integrate(args) -> int:
-    model = _build_model(args)
-    t0, tf = _span(args)
-    config = _build_config(args)
-    _warn_h_form_all_stages(model, config)
-    traj = integrate(model, config, t0, tf, model.y0)
+    model, traj = _run(args)
     _write_trajectory_csv(args.out, traj)
     print(f"status: {traj.status.value}")
     print(f"steps: accepted={traj.steps_accepted} rejected={traj.steps_rejected}")
@@ -109,11 +109,7 @@ def cmd_integrate(args) -> int:
 
 
 def cmd_invariants(args) -> int:
-    model = _build_model(args)
-    t0, tf = _span(args)
-    config = _build_config(args)
-    _warn_h_form_all_stages(model, config)
-    traj = integrate(model, config, t0, tf, model.y0)
+    model, traj = _run(args)
     with open(args.out, "w") as fh:
         fh.write("invariant,E_I\n")
         for label, err in _invariant_table(model, traj):
@@ -148,16 +144,16 @@ def cmd_convergence(args) -> int:
         sweep = [args.h, args.h / 2.0, args.h / 4.0]
     if len(sweep) < 3:
         raise ConfigurationError("need at least 3 sweep points")
+    # every sweep point is validated before the (long) reference run
+    base = _build_config(args)
+    if args.mode == "adaptive":
+        configs = [dataclasses.replace(base, atol=v, rtol=v) for v in sweep]
+    else:
+        configs = [dataclasses.replace(base, h_fixed=v) for v in sweep]
 
     y_ref = _reference_state(model, t0, tf, args)
     controls, h_avgs, errors = [], [], []
-    for value in sweep:
-        if args.mode == "adaptive":
-            config = _build_config(args)
-            config.atol = config.rtol = value
-        else:
-            config = _build_config(args)
-            config.h_fixed = value
+    for value, config in zip(sweep, configs):
         traj = integrate(model, config, t0, tf, model.y0)
         if traj.status != TrajectoryStatus.COMPLETED:
             print(f"status: {traj.status.value}")
@@ -176,10 +172,7 @@ def cmd_convergence(args) -> int:
 
 
 def cmd_steptrace(args) -> int:
-    model = _build_model(args)
-    t0, tf = _span(args)
-    config = _build_config(args)
-    traj = integrate(model, config, t0, tf, model.y0)
+    _model, traj = _run(args)
     with open(args.out, "w") as fh:
         fh.write("attempt,t,h,accepted,min_predictor\n")
         for a in traj.attempts:

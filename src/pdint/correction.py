@@ -61,7 +61,6 @@ class CorrectionDiagnostics:
     clip_count: int = 0
     max_negative_clipped: float = 0.0
     scaling_active: bool = False
-    post_solve_min_component: float = 0.0
 
     def absorb_negatives(self, v: np.ndarray) -> None:
         neg = v < 0.0
@@ -112,21 +111,19 @@ def stage_corrected_g(a_row, g_prior, sigma_prior, g_diag) -> np.ndarray:
     """Averaged matrix for one corrected stage.
 
     Prior-stage matrices are column-scaled toward the current predicted
-    stage; the diagonal term enters unscaled because its argument is the
-    clipped predicted stage itself.
+    stage; the diagonal term comes first and enters unscaled because its
+    argument is the clipped predicted stage itself.
     """
     i = len(a_row) - 1
     if len(g_prior) != i or len(sigma_prior) != i:
         raise ValueError("prior lists must have length len(a_row) - 1")
-    out = a_row[i] * np.asarray(g_diag, dtype=float)
-    for a, g, sig in zip(a_row[:i], g_prior, sigma_prior):
-        out += a * (g * sig[np.newaxis, :])
-    return out
+    g_diag = np.asarray(g_diag, dtype=float)
+    return averaged_g_final(
+        [a_row[i], *a_row[:i]], [g_diag, *g_prior], [np.ones(len(g_diag)), *sigma_prior]
+    )
 
 
-def corrector_solve(
-    y_n: np.ndarray, h: float, g_bar: np.ndarray
-) -> tuple[np.ndarray, CorrectionDiagnostics]:
+def corrector_solve(y_n: np.ndarray, h: float, g_bar: np.ndarray) -> np.ndarray:
     """Solve (I - h*G_bar) y = y_n.
 
     When ``g_bar`` is a graph Laplacian with a stable spectrum the system
@@ -137,9 +134,7 @@ def corrector_solve(
     d = y_n.shape[0]
     if g_bar.shape != (d, d):
         raise ValueError(f"dimension mismatch: {g_bar.shape} vs vector of size {d}")
-    y = lu_solve(identity_minus(h, g_bar), y_n, overwrite_a=True)
-    diag = CorrectionDiagnostics(post_solve_min_component=float(y.min()))
-    return y, diag
+    return lu_solve(identity_minus(h, g_bar), y_n, overwrite_a=True)
 
 
 def h_form_corrector(
@@ -149,7 +144,7 @@ def h_form_corrector(
     h_list,
     y_pred: np.ndarray,
     eps: float,
-) -> tuple[np.ndarray, CorrectionDiagnostics]:
+) -> np.ndarray:
     """Corrector for systems whose right-hand side is H(y) @ 1.
 
     The all-ones multiplicand is rewritten as a column scaling against the

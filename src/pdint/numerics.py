@@ -31,16 +31,6 @@ def vector(entries) -> np.ndarray:
     return v
 
 
-def dense_matrix(entries) -> np.ndarray:
-    """Build a 2-D float array (row-major), rejecting NaN/Inf entries."""
-    m = np.asarray(entries, dtype=float)
-    if m.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
-    return m
-
-
 def lu_solve(a: np.ndarray, b: np.ndarray, overwrite_a: bool = False) -> np.ndarray:
     """Solve ``a @ x = b`` by LU factorization with partial pivoting.
 

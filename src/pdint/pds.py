@@ -6,6 +6,11 @@ nonnegative orthant) and declared left kernel vectors encoding linear
 conservation laws.  The H-form variant is y' = H(y) 1 with H built from
 pairwise destruction rates, which forces zero column sums.
 
+Both model kinds share one protocol: ``matrix(t, y)`` returns G or H,
+``multiplicand(y)`` returns the vector it multiplies (the state, or all
+ones), and the class attribute ``multiplicand_is_state`` tells the two
+kinds apart wherever the solver must.
+
 Models are immutable and their evaluation callbacks must be pure, so a
 model may be shared freely across threads.
 """
@@ -13,7 +18,7 @@ model may be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -31,19 +36,28 @@ class LinearInvariant:
 
 @dataclass(frozen=True)
 class GraphLaplacianModel:
+    multiplicand_is_state: ClassVar[bool] = True
+
     dim: int
     eval_G: Callable[[float, np.ndarray], np.ndarray]
     invariants: tuple[LinearInvariant, ...] = ()
     strong_sign: bool = False
-    nonneg_domain_only: bool = True
     label: str = ""
     y0: np.ndarray | None = None
     t0: float = 0.0
     y_scale: float | np.ndarray = 1.0
 
+    def matrix(self, t: float, y: np.ndarray) -> np.ndarray:
+        return self.eval_G(t, y)
+
+    def multiplicand(self, y: np.ndarray) -> np.ndarray:
+        return y
+
 
 @dataclass(frozen=True)
 class HFormModel:
+    multiplicand_is_state: ClassVar[bool] = False
+
     dim: int
     eval_H: Callable[[np.ndarray], np.ndarray]
     invariants: tuple[LinearInvariant, ...] = ()
@@ -54,21 +68,18 @@ class HFormModel:
     # optional fast path returning H(y) @ 1 without assembling H
     eval_rhs: Callable[[np.ndarray], np.ndarray] | None = None
 
+    def matrix(self, t: float, y: np.ndarray) -> np.ndarray:
+        return self.eval_H(y)
 
-def eval_matrix(model, t: float, y: np.ndarray) -> np.ndarray:
-    """Evaluate the system matrix of either model kind."""
-    if isinstance(model, HFormModel):
-        return model.eval_H(y)
-    return model.eval_G(t, y)
+    def multiplicand(self, y: np.ndarray) -> np.ndarray:
+        return np.ones(self.dim)
 
 
 def eval_rhs(model, t: float, y: np.ndarray) -> np.ndarray:
-    """Right-hand side f(t, y) of either model kind."""
-    if isinstance(model, HFormModel):
-        if model.eval_rhs is not None:
-            return model.eval_rhs(y)
-        return model.eval_H(y) @ np.ones(model.dim)
-    return model.eval_G(t, y) @ y
+    """Right-hand side f(t, y) = matrix(t, y) @ multiplicand(y)."""
+    if not model.multiplicand_is_state and model.eval_rhs is not None:
+        return model.eval_rhs(y)
+    return model.matrix(t, y) @ model.multiplicand(y)
 
 
 @dataclass
@@ -176,7 +187,7 @@ def validate_model(
     times = rng.uniform(t_span[0], t_span[1], size=n_samples)
     report = StructureReport(samples_checked=n_samples)
     for t, y in zip(times, states):
-        m = eval_matrix(model, t, y)
+        m = model.matrix(t, y)
         norm = np.max(np.abs(m))
         sub = validate_sign_structure(m, sign_tol * max(norm, 1e-300))
         report.sign_violations.extend(sub.sign_violations)

@@ -26,12 +26,13 @@ from .correction import (
     averaged_g_final,
     clip,
     corrector_solve,
-    h_form_corrector,
     ratio_scaling,
-    stage_corrected_g,
 )
+# unused here, but perfbench/test_tracer.py (test_every_wrapper_is_removed_after_a_traced_run,
+# test_metric_names_are_well_formed_and_match_the_benchmark) looks both names up on this module
+from .correction import h_form_corrector, stage_corrected_g  # noqa: F401
 from .numerics import identity_minus, lu_solve, vector, wrms_norm
-from .pds import HFormModel, eval_rhs
+from .pds import eval_rhs
 
 _TINY = 1e-30
 
@@ -54,7 +55,6 @@ class ButcherTableau:
     p: int
     p_hat: int
     gamma: float
-    q: int = 1
 
     def __post_init__(self):
         a = self.A
@@ -173,7 +173,7 @@ def tableau(name: str) -> ButcherTableau:
     return builder()
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     method: str | ButcherTableau = "sdirk21"
     mode: str = "adaptive"  # "adaptive" | "fixed"
@@ -193,7 +193,7 @@ class SolverConfig:
     max_steps: int = 2_000_000
 
     def __post_init__(self):
-        self.correction = CorrectionMode(self.correction)
+        object.__setattr__(self, "correction", CorrectionMode(self.correction))
         if self.mode not in ("adaptive", "fixed"):
             raise ConfigurationError(f"unknown mode {self.mode!r}")
         if self.atol <= 0.0:
@@ -341,7 +341,7 @@ def solve_stage(model, t_stage, y_n, h, a_ii, rhs_accum, max_iter=50, tol=1e-12)
         return rhs
     scale = max(np.max(np.abs(y_n)), np.max(np.abs(rhs)), _TINY)
     atol_it = tol * np.clip(model.y_scale, _TINY, scale)
-    if isinstance(model, HFormModel):
+    if not model.multiplicand_is_state:
         return _newton_stage(model, t_stage, rhs, h * a_ii, rhs, max_iter, atol_it, tol)
     d = y_n.size
     eye = np.eye(d)
@@ -351,7 +351,7 @@ def solve_stage(model, t_stage, y_n, h, a_ii, rhs_accum, max_iter=50, tol=1e-12)
     picard_budget = max(1, max_iter // 2)
     used = 0
     for _ in range(picard_budget):
-        g = model.eval_G(t_stage, y)
+        g = model.matrix(t_stage, y)
         y_new = lu_solve(eye - h_aii * g, rhs)
         dn = wrms_norm(y_new - y, y_new, atol_it, tol)
         y = y_new
@@ -366,106 +366,81 @@ def solve_stage(model, t_stage, y_n, h, a_ii, rhs_accum, max_iter=50, tol=1e-12)
     )
 
 
-def predictor_step(model, t_n, y_n, h, tab, max_iter=50, tol=1e-12):
+def predictor_step(model, t_n, y_n, h, tab, max_iter=50, tol=1e-12, eps=None, diag=None):
     """Plain SDIRK step: stages, predicted solution, embedded solution.
 
     Also returns the stage derivative values for reuse by the corrector.
     For stiffly accurate tableaus the predicted solution is the last
     stage vector itself, bit for bit.
+
+    Given a diagnostics record ``diag`` and the ratio-scaling floor
+    ``eps``, every stage is corrected as soon as it is solved, and later
+    stages build on the corrected ones.  The predicted solution stays the
+    last stage as solved, and the embedded estimate takes its final slope
+    there.
     """
     a, c = tab.A, tab.c
-    stages, fs = [], []
+    stages, fs, mats = [], [], []
     for i in range(tab.s):
         rhs_accum = np.zeros_like(y_n)
         for j in range(i):
             rhs_accum += (h * a[i, j]) * fs[j]
         t_i = t_n + c[i] * h
-        y_i = solve_stage(model, t_i, y_n, h, a[i, i], rhs_accum, max_iter, tol)
+        y_p = solve_stage(model, t_i, y_n, h, a[i, i], rhs_accum, max_iter, tol)
+        y_i, f_i = y_p, None
+        if diag is not None:
+            y_i, f_i = _all_stage_correction(
+                model, t_i, y_n, h, a[i, : i + 1], y_p, stages, mats, eps, diag,
+                i < tab.s - 1,
+            )
         stages.append(y_i)
-        fs.append(eval_rhs(model, t_i, y_i))
+        fs.append(eval_rhs(model, t_i, y_p) if f_i is None else f_i)
     if tab.stiffly_accurate:
-        y_pred = stages[-1]
+        y_pred = y_p
     else:
         y_pred = y_n + h * sum(bj * fj for bj, fj in zip(tab.b, fs))
     y_hat = y_n + h * sum(bj * fj for bj, fj in zip(tab.b_hat, fs))
     return stages, y_pred, y_hat, fs
 
 
-def _stage_matrix(model, t, y):
-    if isinstance(model, HFormModel):
-        return model.eval_H(y)
-    return model.eval_G(t, y)
+def _matrix_argument(model, y):
+    """Clipped stage, unless a graph-Laplacian model keeps its sign pattern everywhere."""
+    return y if model.multiplicand_is_state and model.strong_sign else clip(y)
 
 
 def _final_stage_correction(model, t_n, y_n, h, tab, stages, y_pred, eps):
     diag = CorrectionDiagnostics()
-    h_form = isinstance(model, HFormModel)
-    strong = (not h_form) and model.strong_sign
     mats = []
     for i, y_i in enumerate(stages):
         diag.absorb_negatives(y_i)
-        arg = y_i if strong else clip(y_i)
-        mats.append(_stage_matrix(model, t_n + tab.c[i] * h, arg))
-    if h_form:
-        y_raw, solve_diag = h_form_corrector(y_n, h, tab.b, mats, y_pred, eps)
-    else:
-        sigmas = [ratio_scaling(y_i, y_pred, eps) for y_i in stages]
-        g_bar = averaged_g_final(tab.b, mats, sigmas)
-        y_raw, solve_diag = corrector_solve(y_n, h, g_bar)
-    diag.post_solve_min_component = solve_diag.post_solve_min_component
+        mats.append(model.matrix(t_n + tab.c[i] * h, _matrix_argument(model, y_i)))
+    sigmas = [ratio_scaling(model.multiplicand(y_i), y_pred, eps) for y_i in stages]
+    y_raw = corrector_solve(y_n, h, averaged_g_final(tab.b, mats, sigmas))
     diag.absorb_negatives(y_raw)
-    diag.scaling_active = diag.clip_count > 0 or bool(np.any(y_pred < eps))
     return clip(y_raw), diag
 
 
-def _all_stage_correction(model, t_n, y_n, h, tab, config, eps):
-    """Predict and correct every stage; the last corrected stage is the step."""
-    diag = CorrectionDiagnostics()
-    h_form = isinstance(model, HFormModel)
-    strong = (not h_form) and model.strong_sign
-    a, c = tab.A, tab.c
-    stages, fs, mats = [], [], []
-    y_pred_last = None
-    ones = np.ones_like(y_n)
-    for i in range(tab.s):
-        rhs_accum = np.zeros_like(y_n)
-        for j in range(i):
-            rhs_accum += (h * a[i, j]) * fs[j]
-        t_i = t_n + c[i] * h
-        y_p = solve_stage(
-            model, t_i, y_n, h, a[i, i], rhs_accum, config.stage_max_iter, config.stage_tol
-        )
-        diag.absorb_negatives(y_p)
-        arg = y_p if strong else clip(y_p)
-        m_diag = _stage_matrix(model, t_i, arg)
-        if h_form:
-            sigma = ratio_scaling(ones, y_p, eps)
-            g_bar = averaged_g_final(
-                list(a[i, : i + 1]), mats + [m_diag], [sigma] * (i + 1)
-            )
-        else:
-            sig_prior = [ratio_scaling(stages[j], y_p, eps) for j in range(i)]
-            g_bar = stage_corrected_g(a[i, : i + 1], mats, sig_prior, m_diag)
-        y_raw, solve_diag = corrector_solve(y_n, h, g_bar)
-        diag.post_solve_min_component = min(
-            diag.post_solve_min_component, solve_diag.post_solve_min_component
-        )
-        diag.absorb_negatives(y_raw)
-        y_i = clip(y_raw)
-        m_i = _stage_matrix(model, t_i, y_i)
-        stages.append(y_i)
-        mats.append(m_i)
-        fs.append(m_i @ ones if h_form else m_i @ y_i)
-        if i == tab.s - 1:
-            y_pred_last = y_p
-    # embedded estimate from the corrected stage slopes, with the final
-    # slope taken at the uncorrected stage prediction
-    t_s = t_n + c[-1] * h
-    f_pred_last = eval_rhs(model, t_s, y_pred_last)
-    y_hat = y_n + h * sum(bj * fj for bj, fj in zip(tab.b_hat[:-1], fs[:-1]))
-    y_hat = y_hat + h * tab.b_hat[-1] * f_pred_last
-    diag.scaling_active = diag.clip_count > 0 or bool(np.any(y_pred_last < eps))
-    return stages, y_pred_last, y_hat, diag
+def _all_stage_correction(model, t_i, y_n, h, a_row, y_p, stages, mats, eps, diag, later):
+    """Correct one predicted stage ``y_p`` against the corrected earlier stages.
+
+    Returns the corrected stage and, when ``later`` stages follow, its
+    slope; its matrix is then appended to ``mats`` for them to read.
+    """
+    diag.absorb_negatives(y_p)
+    m_diag = model.matrix(t_i, _matrix_argument(model, y_p))
+    # a graph-Laplacian diagonal term multiplies the predicted stage itself
+    ones = np.ones_like(y_p)
+    sig_diag = ones if model.multiplicand_is_state else ratio_scaling(ones, y_p, eps)
+    sigmas = [ratio_scaling(model.multiplicand(y_j), y_p, eps) for y_j in stages]
+    g_bar = averaged_g_final([a_row[-1], *a_row[:-1]], [m_diag, *mats], [sig_diag, *sigmas])
+    y_raw = corrector_solve(y_n, h, g_bar)
+    diag.absorb_negatives(y_raw)
+    y_i = clip(y_raw)
+    if not later:
+        return y_i, None
+    m_i = model.matrix(t_i, y_i)
+    mats.append(m_i)
+    return y_i, m_i @ model.multiplicand(y_i)
 
 
 def corrected_step(model, t_n, y_n, h, tab, config: SolverConfig) -> StepOutcome:
@@ -473,26 +448,19 @@ def corrected_step(model, t_n, y_n, h, tab, config: SolverConfig) -> StepOutcome
     mode = config.correction
     if mode == CorrectionMode.ALL and not tab.stiffly_accurate:
         raise ConfigurationError("all-stages correction requires a stiffly accurate tableau")
+    eps = config.scaling.resolve(h, tab.p)
+    diag = CorrectionDiagnostics() if mode == CorrectionMode.ALL else None
+    stages, y_pred, y_hat, _fs = predictor_step(
+        model, t_n, y_n, h, tab, config.stage_max_iter, config.stage_tol, eps, diag
+    )
     if mode == CorrectionMode.ALL:
-        eps = config.scaling.resolve(h, tab.p)
-        stages, y_pred, y_hat, diag = _all_stage_correction(
-            model, t_n, y_n, h, tab, config, eps
-        )
         y_corr = stages[-1]
+    elif mode == CorrectionMode.FINAL:
+        y_corr, diag = _final_stage_correction(model, t_n, y_n, h, tab, stages, y_pred, eps)
     else:
-        stages, y_pred, y_hat, _fs = predictor_step(
-            model, t_n, y_n, h, tab, config.stage_max_iter, config.stage_tol
-        )
-        if mode == CorrectionMode.FINAL:
-            eps = config.scaling.resolve(h, tab.p)
-            y_corr, diag = _final_stage_correction(
-                model, t_n, y_n, h, tab, stages, y_pred, eps
-            )
-        else:
-            y_corr = y_pred
-            diag = CorrectionDiagnostics(
-                post_solve_min_component=float(y_pred.min())
-            )
+        y_corr, diag = y_pred, CorrectionDiagnostics()
+    if mode != CorrectionMode.NONE:
+        diag.scaling_active = diag.clip_count > 0 or bool(np.any(y_pred < eps))
     err = wrms_norm(y_pred - y_hat, y_pred, config.atol, config.rtol)
     accepted = err <= 1.0 or config.mode == "fixed"
     if err > 0.0:

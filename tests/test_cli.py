@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pdint import cli
 from pdint.cli import main
 
 
@@ -142,3 +143,31 @@ def test_timing_reports_ratio(tmp_path, capsys):
     assert rc == 0
     captured = capsys.readouterr().out
     assert "overhead_ratio:" in captured
+
+
+@pytest.mark.parametrize(
+    "mode_args,sweep",
+    [
+        (["--mode", "fixed", "--h", "100"], "100,-50,25"),
+        (["--mode", "fixed", "--h", "100"], "100,0,25"),
+        (["--mode", "adaptive"], "1e-4,-1e-5,1e-6"),
+    ],
+)
+def test_convergence_rejects_bad_sweep_before_any_run(tmp_path, monkeypatch, mode_args, sweep):
+    def no_run(*args, **kwargs):
+        raise AssertionError("integrate ran before every sweep point was validated")
+
+    monkeypatch.setattr(cli, "integrate", no_run)
+    out = tmp_path / "conv.csv"
+    rc = main(
+        ["convergence", "--problem", "robertson", "--method", "sdirk21", *mode_args,
+         "--t0", "0", "--tf", "100", "--sweep", sweep, "--out", str(out)]
+    )
+    assert rc == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("eps", ["0", "-1"])
+def test_nonpositive_eps_exits_2(tmp_path, eps):
+    assert main(["integrate", "--problem", "robertson", "--t0", "0", "--tf", "1",
+                 "--correction", "final", "--eps", eps, "--out", str(tmp_path / "x.csv")]) == 2

@@ -70,14 +70,13 @@ def test_averaged_g_final_column_scaling():
 
 def test_corrector_solve_zero_matrix():
     y = np.array([0.4, 0.6])
-    out, diag = corrector_solve(y, 3.7, np.zeros((2, 2)))
+    out = corrector_solve(y, 3.7, np.zeros((2, 2)))
     assert np.allclose(out, y, rtol=0, atol=1e-16)
-    assert diag.post_solve_min_component == pytest.approx(0.4)
 
 
 def test_corrector_solve_2x2_hand_case():
     g = np.array([[-1.0, 1.0], [1.0, -1.0]])
-    out, _ = corrector_solve(np.array([1.0, 0.0]), 1.0, g)
+    out = corrector_solve(np.array([1.0, 0.0]), 1.0, g)
     assert np.allclose(out, [2.0 / 3.0, 1.0 / 3.0], rtol=0, atol=1e-15)
     assert out.sum() == pytest.approx(1.0, abs=1e-15)
 
@@ -86,7 +85,7 @@ def test_corrector_solve_robertson_first_step():
     # G of the three-species stiff network at y = [1, 0, 0]
     y = np.array([1.0, 0.0, 0.0])
     g = np.array([[-0.04, 0.0, 0.0], [0.04, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    out, _ = corrector_solve(y, 0.01, g)
+    out = corrector_solve(y, 0.01, g)
     expected = np.linalg.solve(np.eye(3) - 0.01 * g, y)
     assert np.allclose(out, expected, rtol=0, atol=1e-16)
     assert out.sum() == pytest.approx(1.0, abs=1e-15)
@@ -104,7 +103,7 @@ def test_corrector_solve_conserves_shared_kernels():
         gbar = averaged_g_final(b, gs, sigmas)
         y = rng.uniform(0.0, 1.0, size=d)
         h = float(rng.uniform(0.0, 10.0))
-        out, _ = corrector_solve(y, h, gbar)
+        out = corrector_solve(y, h, gbar)
         assert out.sum() == pytest.approx(y.sum(), rel=1e-12)
         assert np.all(out >= -1e-12 * max(np.max(np.abs(y)), 1e-300))
 
@@ -114,6 +113,7 @@ def test_stage_corrected_g_first_stage():
     gamma = 0.3
     out = stage_corrected_g([gamma], [], [], g)
     assert np.allclose(out, gamma * g, rtol=0, atol=0)
+    assert np.array_equal(out, averaged_g_final([gamma], [g], [np.ones(2)]))
 
 
 def test_stage_corrected_g_two_stage_form():
@@ -125,6 +125,8 @@ def test_stage_corrected_g_two_stage_form():
     out = stage_corrected_g([1.0 - gamma, gamma], [g1], [sig], g2)
     expected = (1.0 - gamma) * (g1 * sig[np.newaxis, :]) + gamma * g2
     assert np.allclose(out, expected, rtol=0, atol=0)
+    # the diagonal term comes first, with sigma = 1
+    assert np.array_equal(out, averaged_g_final([gamma, 1.0 - gamma], [g2, g1], [np.ones(3), sig]))
 
 
 def test_stage_corrected_g_collapsed_stages():
@@ -132,18 +134,19 @@ def test_stage_corrected_g_collapsed_stages():
     a_row = [0.25, 0.35, 0.2]
     out = stage_corrected_g(a_row, [g, g], [np.ones(2)] * 2, g)
     assert np.allclose(out, sum(a_row) * g, rtol=1e-15, atol=0)
+    assert np.array_equal(out, averaged_g_final([0.2, 0.25, 0.35], [g] * 3, [np.ones(2)] * 3))
 
 
 def test_h_form_corrector_zero_rates():
     y = np.array([0.7, 0.3])
-    out, _ = h_form_corrector(y, 0.5, [0.6, 0.4], [np.zeros((2, 2))] * 2, y, 1e-10)
+    out = h_form_corrector(y, 0.5, [0.6, 0.4], [np.zeros((2, 2))] * 2, y, 1e-10)
     assert np.allclose(out, y, rtol=0, atol=1e-16)
 
 
 def test_h_form_corrector_single_stage_hand_case():
     h_mat = np.array([[-2.0, 0.0], [2.0, 0.0]])
     y_n = np.array([1.0, 0.0])
-    out, _ = h_form_corrector(y_n, 0.25, [1.0], [h_mat], np.array([1.0, 1.0]), 1e-10)
+    out = h_form_corrector(y_n, 0.25, [1.0], [h_mat], np.array([1.0, 1.0]), 1e-10)
     # with sigma = I this is (I - 0.25 H)^{-1} y_n
     expected = np.linalg.solve(np.eye(2) - 0.25 * h_mat, y_n)
     assert np.allclose(out, expected, rtol=0, atol=1e-16)
@@ -162,7 +165,7 @@ def test_h_form_corrector_mass_conservation():
         ]
         y = rng.uniform(0.0, 1.0, size=d)
         y_pred = rng.uniform(-0.1, 1.0, size=d)
-        out, _ = h_form_corrector(y, 0.3, [0.5, 0.5], hs, y_pred, 1e-10)
+        out = h_form_corrector(y, 0.3, [0.5, 0.5], hs, y_pred, 1e-10)
         assert out.sum() == pytest.approx(y.sum(), rel=1e-12)
 
 

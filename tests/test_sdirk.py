@@ -57,7 +57,7 @@ def test_tableau_coefficients():
 @pytest.mark.parametrize("name,p,p_hat,s", [("sdirk21", 2, 1, 2), ("sdirk32", 3, 2, 4), ("sdirk43", 4, 3, 5)])
 def test_tableau_structure(name, p, p_hat, s):
     tab = tableau(name)
-    assert (tab.p, tab.p_hat, tab.s, tab.q) == (p, p_hat, s, 1)
+    assert (tab.p, tab.p_hat, tab.s) == (p, p_hat, s)
     assert tab.stiffly_accurate
     assert np.all(np.triu(tab.A, 1) == 0.0)
     assert np.allclose(np.diagonal(tab.A), tab.gamma, rtol=0, atol=0)
@@ -230,6 +230,46 @@ def test_all_stages_on_flux_form_model_conserves_and_stays_nonnegative():
     assert traj.min_component >= 0.0
     mass = traj.invariant_values["mass"]
     assert np.max(np.abs(mass - mass[0])) <= 1e-12 * abs(mass[0])
+
+
+def implicit_euler():
+    """One-stage, stiffly accurate tableau: final and all-stages correction coincide."""
+    one = np.array([1.0])
+    return ButcherTableau(
+        name="implicit-euler", A=np.array([[1.0]]), b=one, b_hat=one, c=one,
+        p=1, p_hat=1, gamma=1.0,
+    )
+
+
+@pytest.mark.parametrize("h", [0.1, 0.2])
+def test_final_and_all_stage_correction_share_the_corrector_on_flux_form(h):
+    # on an H-form model both modes scale every column by 1/max(y_pred, eps)
+    from pdint.problems import KdvConfig, kdv
+
+    model = kdv(KdvConfig(n_cells=32))
+    tab = implicit_euler()
+    final, every = (
+        corrected_step(model, 0.0, model.y0, h, tab, SolverConfig(correction=mode))
+        for mode in ("final", "all")
+    )
+    assert final.y_pred.min() < 0.0, "expected a negative predictor"
+    assert final.diagnostics.clip_count > 0
+    assert np.array_equal(final.y_pred, every.y_pred)
+    assert np.array_equal(final.y_corrected, every.y_corrected)
+
+
+def test_final_and_all_stage_correction_share_the_corrector_on_graph_laplacian():
+    # with no component below eps, the final-mode scaling of the only stage
+    # is exactly one, which is what all-stages mode uses on its diagonal term
+    model, _ = linear_exchange()
+    y_n = np.array([0.75, 0.25])
+    tab = implicit_euler()
+    final, every = (
+        corrected_step(model, 0.0, y_n, 0.5, tab, SolverConfig(correction=mode))
+        for mode in ("final", "all")
+    )
+    assert final.y_pred.min() > SolverConfig().scaling.epsilon_fixed
+    assert np.array_equal(final.y_corrected, every.y_corrected)
 
 
 def test_strong_sign_model_skips_stage_clipping():
