@@ -44,8 +44,6 @@ def _span(args, which="run"):
     defaults = DEFAULT_SPANS[args.problem][which]
     t0 = args.t0 if args.t0 is not None else defaults[0]
     tf = args.tf if args.tf is not None else defaults[1]
-    if tf <= t0:
-        raise ConfigurationError("tf must exceed t0")
     return t0, tf
 
 

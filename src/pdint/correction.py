@@ -26,7 +26,7 @@ class CorrectionMode(str, Enum):
     ALL = "all"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScalingPolicy:
     """Resolution rule for the denominator floor used in ratio scalings.
 
@@ -43,8 +43,9 @@ class ScalingPolicy:
     def __post_init__(self):
         if self.epsilon_mode not in ("fixed", "step-scaled"):
             raise ValueError(f"unknown epsilon mode {self.epsilon_mode!r}")
-        if self.epsilon_fixed <= 0.0 or self.epsilon_coeff <= 0.0:
-            raise ValueError("epsilon parameters must be positive")
+        # written so that NaN fails
+        if not (0.0 < self.epsilon_fixed < np.inf and 0.0 < self.epsilon_coeff < np.inf):
+            raise ValueError("epsilon parameters must be positive and finite")
 
     def resolve(self, h: float, order: int) -> float:
         if self.epsilon_mode == "fixed":

@@ -35,6 +35,12 @@ from .numerics import identity_minus, lu_solve, vector, wrms_norm
 from .pds import eval_rhs
 
 _TINY = 1e-30
+# step-size controller: safety factor and bounds on the step ratio
+_SAFETY, _FAC_MIN, _FAC_MAX = 0.9, 0.2, 5.0
+# stage iteration budget and relative tolerance
+_STAGE_MAX_ITER, _STAGE_TOL = 50, 1e-12
+# attempts before a run ends in solver_failure
+_MAX_ATTEMPTS = 2_000_000
 
 
 class ConfigurationError(ValueError):
@@ -183,29 +189,24 @@ class SolverConfig:
     rtol: float = 1e-6
     correction: CorrectionMode | str = CorrectionMode.NONE
     scaling: ScalingPolicy = field(default_factory=ScalingPolicy)
-    safety: float = 0.9
-    fac_min: float = 0.2
-    fac_max: float = 5.0
-    h_min: float | None = None
-    stage_max_iter: int = 50
-    stage_tol: float = 1e-12
     positivity_guard_rejection: bool = False
-    max_steps: int = 2_000_000
 
     def __post_init__(self):
         object.__setattr__(self, "correction", CorrectionMode(self.correction))
         if self.mode not in ("adaptive", "fixed"):
             raise ConfigurationError(f"unknown mode {self.mode!r}")
-        if self.atol <= 0.0:
-            raise ConfigurationError("atol must be positive")
-        if self.rtol < 0.0:
-            raise ConfigurationError("rtol must be nonnegative")
-        if not (self.fac_min < 1.0 < self.fac_max):
-            raise ConfigurationError("need fac_min < 1 < fac_max")
-        if self.h0 is not None and self.h0 <= 0.0:
-            raise ConfigurationError("h0 must be positive")
-        if self.mode == "fixed" and (self.h_fixed is None or self.h_fixed <= 0.0):
-            raise ConfigurationError("fixed mode requires a positive h_fixed")
+        # written so that NaN fails every check
+        if not 0.0 < self.atol < math.inf:
+            raise ConfigurationError("atol must be positive and finite")
+        if not 0.0 <= self.rtol < math.inf:
+            raise ConfigurationError("rtol must be nonnegative and finite")
+        if self.h0 is not None and not 0.0 < self.h0 < math.inf:
+            raise ConfigurationError("h0 must be positive and finite")
+        if self.mode == "fixed":
+            if self.h_fixed is None or not 0.0 < self.h_fixed < math.inf:
+                raise ConfigurationError("fixed mode requires a positive, finite h_fixed")
+            if self.positivity_guard_rejection:
+                raise ConfigurationError("the positivity guard halves steps; fixed mode cannot")
 
     def resolve_tableau(self) -> ButcherTableau:
         if isinstance(self.method, ButcherTableau):
@@ -230,14 +231,9 @@ class StepAttempt:
 
 @dataclass
 class StepOutcome:
-    accepted: bool
-    t_new: float
     y_pred: np.ndarray
     y_corrected: np.ndarray
-    stages: list
     err: float
-    h_used: float
-    h_next: float
     diagnostics: CorrectionDiagnostics
 
 
@@ -245,18 +241,27 @@ class StepOutcome:
 class Trajectory:
     times: np.ndarray
     states: np.ndarray
-    min_components: np.ndarray
     h_used: np.ndarray
     clip_counts: np.ndarray
-    invariant_values: dict
-    status: TrajectoryStatus
     attempts: list
-    steps_accepted: int
-    steps_rejected: int
+    status: TrajectoryStatus
+    invariant_values: dict
+
+    @property
+    def min_components(self) -> np.ndarray:
+        return self.states.min(axis=1)
 
     @property
     def min_component(self) -> float:
-        return float(self.min_components.min())
+        return float(self.states.min())
+
+    @property
+    def steps_accepted(self) -> int:
+        return len(self.times) - 1
+
+    @property
+    def steps_rejected(self) -> int:
+        return len(self.attempts) - self.steps_accepted
 
 
 def _fd_jacobian(model, t, y, f0):
@@ -318,7 +323,7 @@ def _newton_stage(model, t, rhs, h_aii, y_init, budget, atol_it, tol):
     raise StageConvergenceError(f"stage iteration exceeded budget at t={t}")
 
 
-def solve_stage(model, t_stage, y_n, h, a_ii, rhs_accum, max_iter=50, tol=1e-12):
+def solve_stage(model, t_stage, y_n, h, a_ii, rhs_accum, max_iter=_STAGE_MAX_ITER, tol=_STAGE_TOL):
     """Solve one implicit stage Y = y_n + rhs_accum + h*a_ii*f(t, Y).
 
     Graph-Laplacian models use the frozen-matrix fixed point
@@ -366,7 +371,7 @@ def solve_stage(model, t_stage, y_n, h, a_ii, rhs_accum, max_iter=50, tol=1e-12)
     )
 
 
-def predictor_step(model, t_n, y_n, h, tab, max_iter=50, tol=1e-12, eps=None, diag=None):
+def predictor_step(model, t_n, y_n, h, tab, eps=None, diag=None):
     """Plain SDIRK step: stages, predicted solution, embedded solution.
 
     Also returns the stage derivative values for reuse by the corrector.
@@ -386,7 +391,7 @@ def predictor_step(model, t_n, y_n, h, tab, max_iter=50, tol=1e-12, eps=None, di
         for j in range(i):
             rhs_accum += (h * a[i, j]) * fs[j]
         t_i = t_n + c[i] * h
-        y_p = solve_stage(model, t_i, y_n, h, a[i, i], rhs_accum, max_iter, tol)
+        y_p = solve_stage(model, t_i, y_n, h, a[i, i], rhs_accum)
         y_i, f_i = y_p, None
         if diag is not None:
             y_i, f_i = _all_stage_correction(
@@ -444,15 +449,17 @@ def _all_stage_correction(model, t_i, y_n, h, a_row, y_p, stages, mats, eps, dia
 
 
 def corrected_step(model, t_n, y_n, h, tab, config: SolverConfig) -> StepOutcome:
-    """One attempted step: predictor, optional correction, error estimate."""
+    """One attempted step: predictor, optional correction, error estimate.
+
+    Whether the step is accepted, and the next step size, is left to
+    :func:`integrate`.
+    """
     mode = config.correction
     if mode == CorrectionMode.ALL and not tab.stiffly_accurate:
         raise ConfigurationError("all-stages correction requires a stiffly accurate tableau")
     eps = config.scaling.resolve(h, tab.p)
     diag = CorrectionDiagnostics() if mode == CorrectionMode.ALL else None
-    stages, y_pred, y_hat, _fs = predictor_step(
-        model, t_n, y_n, h, tab, config.stage_max_iter, config.stage_tol, eps, diag
-    )
+    stages, y_pred, y_hat, _fs = predictor_step(model, t_n, y_n, h, tab, eps, diag)
     if mode == CorrectionMode.ALL:
         y_corr = stages[-1]
     elif mode == CorrectionMode.FINAL:
@@ -462,30 +469,13 @@ def corrected_step(model, t_n, y_n, h, tab, config: SolverConfig) -> StepOutcome
     if mode != CorrectionMode.NONE:
         diag.scaling_active = diag.clip_count > 0 or bool(np.any(y_pred < eps))
     err = wrms_norm(y_pred - y_hat, y_pred, config.atol, config.rtol)
-    accepted = err <= 1.0 or config.mode == "fixed"
-    if err > 0.0:
-        fac = config.safety * err ** (-1.0 / (tab.p_hat + 1))
-    else:
-        fac = config.fac_max
-    fac = min(max(fac, config.fac_min), config.fac_max)
-    return StepOutcome(
-        accepted=accepted,
-        t_new=t_n + h,
-        y_pred=y_pred,
-        y_corrected=y_corr,
-        stages=stages,
-        err=err,
-        h_used=h,
-        h_next=h * fac,
-        diagnostics=diag,
-    )
+    return StepOutcome(y_pred, y_corr, err, diag)
 
 
-def _invariant_labels(model):
-    labels = []
-    for k, inv in enumerate(model.invariants):
-        labels.append(inv.label if inv.label else f"inv{k}")
-    return labels
+def _step_factor(err, p_hat):
+    """Elementary controller: the ratio of the next step to the one that gave ``err``."""
+    fac = _SAFETY * err ** (-1.0 / (p_hat + 1)) if err > 0.0 else _FAC_MAX
+    return min(max(fac, _FAC_MIN), _FAC_MAX)
 
 
 def integrate(model, config: SolverConfig, t0: float, tf: float, y0) -> Trajectory:
@@ -493,116 +483,90 @@ def integrate(model, config: SolverConfig, t0: float, tf: float, y0) -> Trajecto
 
     Adaptive mode accepts a step when its weighted error estimate is at
     most one and rescales the step with the standard elementary
-    controller; fixed mode takes uniform steps.  With the positivity
+    controller; fixed mode takes uniform steps and ends in
+    ``solver_failure`` if a stage solve fails.  With the positivity
     guard enabled, any step whose predictor has a negative component is
     rejected and retried with half the step, with controller growth
-    suspended until a positive step succeeds.
+    suspended until a step is accepted.  A failed stage solve also
+    halves the step.  The run ends ``step_too_small`` once the step
+    falls below ``1e4 * eps * max(|t0|, |tf|)``.
     """
-    if tf <= t0:
-        raise ConfigurationError("tf must exceed t0")
+    if not (math.isfinite(t0) and math.isfinite(tf) and t0 < tf):
+        raise ConfigurationError("t0 and tf must be finite with tf > t0")
     tab = config.resolve_tableau()
     y = vector(y0).copy()
     if y.size != model.dim:
         raise ConfigurationError(f"y0 has size {y.size}, model dimension is {model.dim}")
-    needs_nonneg = (
-        config.correction != CorrectionMode.NONE or config.positivity_guard_rejection
-    )
+    needs_nonneg = config.correction != CorrectionMode.NONE or config.positivity_guard_rejection
     if needs_nonneg and np.any(y < 0.0):
         raise ConfigurationError("y0 must be nonnegative when correction is enabled")
 
     span = tf - t0
-    eps_mach = np.finfo(float).eps
-    h_min = config.h_min
-    if h_min is None:
-        h_min = 1e4 * eps_mach * max(abs(t0), abs(tf))
-    if config.mode == "fixed":
+    h_min = 1e4 * np.finfo(float).eps * max(abs(t0), abs(tf))
+    fixed = config.mode == "fixed"
+    if fixed:
         n_steps = max(1, math.ceil(span / config.h_fixed - 1e-12))
         h = span / n_steps
     else:
         h = config.h0 if config.h0 is not None else span * 1e-4
 
-    invariants = [np.asarray(inv.w, dtype=float) for inv in model.invariants]
-    labels = _invariant_labels(model)
-    times = [t0]
-    states = [y.copy()]
-    mins = [float(y.min())]
-    h_hist = [0.0]
-    clips = [0]
-    inv_hist = [[float(w @ y)] for w in invariants]
-    attempts = []
-    accepted_count = 0
-    rejected_count = 0
+    times, states, h_hist, clips, attempts = [t0], [y], [0.0], [0], []
     status = TrajectoryStatus.COMPLETED
     growth_locked = False
-
     t = t0
-    end_tol = max(h_min, 4.0 * eps_mach * max(abs(t0), abs(tf)))
-    while tf - t > end_tol:
-        if len(attempts) >= config.max_steps:
+    while tf - t > h_min:  # the step floor is also the end tolerance
+        if len(attempts) >= _MAX_ATTEMPTS:
             status = TrajectoryStatus.SOLVER_FAILURE
             break
-        if config.mode == "fixed":
+        if fixed:
             # step onto the uniform grid to avoid accumulation drift
-            h_try = t0 + (accepted_count + 1) * h - t
+            h_try = t0 + len(times) * h - t
         else:
             h_try = min(h, tf - t)
         try:
-            outcome = corrected_step(model, t, y, h_try, tab, config)
+            out = corrected_step(model, t, y, h_try, tab, config)
         except StageConvergenceError:
-            attempts.append(StepAttempt(len(attempts), t, h_try, False, math.nan))
-            rejected_count += 1
-            if config.mode == "fixed":
-                status = TrajectoryStatus.SOLVER_FAILURE
-                break
-            h = h_try / 2.0
-            if h < h_min:
-                status = TrajectoryStatus.STEP_TOO_SMALL
-                break
-            continue
-        min_pred = float(outcome.y_pred.min())
-        accept = outcome.accepted
-        if accept and config.positivity_guard_rejection and min_pred < 0.0:
-            attempts.append(StepAttempt(len(attempts), t, h_try, False, min_pred))
-            rejected_count += 1
-            growth_locked = True
-            h = h_try / 2.0
-            if h < h_min:
-                status = TrajectoryStatus.STEP_TOO_SMALL
-                break
-            continue
+            out = None
+        min_pred = math.nan if out is None else float(out.y_pred.min())
+        passed = out is not None and (fixed or out.err <= 1.0)  # fixed steps take no error test
+        accept = passed and not (config.positivity_guard_rejection and min_pred < 0.0)
         attempts.append(StepAttempt(len(attempts), t, h_try, accept, min_pred))
         if accept:
-            t = outcome.t_new
-            y = outcome.y_corrected
-            accepted_count += 1
+            t += h_try
+            y = out.y_corrected
             times.append(t)
-            states.append(y.copy())
-            mins.append(float(y.min()))
+            states.append(y)
             h_hist.append(h_try)
-            clips.append(outcome.diagnostics.clip_count)
-            for vals, w in zip(inv_hist, invariants):
-                vals.append(float(w @ y))
+            clips.append(out.diagnostics.clip_count)
             growth_locked = False
-            if config.mode == "adaptive":
-                h = outcome.h_next
-        else:
-            rejected_count += 1
-            h = min(outcome.h_next, h_try)  # never grow on rejection
-            if growth_locked:
-                h = min(h, h_try / 2.0)
-            if h < h_min:
-                status = TrajectoryStatus.STEP_TOO_SMALL
-                break
+            if not fixed:
+                h = h_try * _step_factor(out.err, tab.p_hat)
+            continue
+        if fixed:  # only a stage failure rejects a fixed step, and the grid cannot shrink
+            status = TrajectoryStatus.SOLVER_FAILURE
+            break
+        if passed:  # the error test passed, so the guard rejected the step
+            growth_locked = True
+        if out is None or passed:
+            h = h_try / 2.0
+        else:  # never grow on rejection, halve while growth is locked
+            h_cap = h_try / 2.0 if growth_locked else h_try
+            h = min(h_try * _step_factor(out.err, tab.p_hat), h_cap)
+        if h < h_min:
+            status = TrajectoryStatus.STEP_TOO_SMALL
+            break
 
+    states = np.array(states)
+    weights = [np.asarray(inv.w, dtype=float) for inv in model.invariants]
     return Trajectory(
         times=np.array(times),
-        states=np.array(states),
-        min_components=np.array(mins),
+        states=states,
         h_used=np.array(h_hist),
         clip_counts=np.array(clips),
-        invariant_values={lab: np.array(v) for lab, v in zip(labels, inv_hist)},
-        status=status,
         attempts=attempts,
-        steps_accepted=accepted_count,
-        steps_rejected=rejected_count,
+        status=status,
+        invariant_values={
+            inv.label or f"inv{k}": np.array([float(w @ y) for y in states])
+            for k, (inv, w) in enumerate(zip(model.invariants, weights))
+        },
     )

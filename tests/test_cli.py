@@ -171,3 +171,20 @@ def test_convergence_rejects_bad_sweep_before_any_run(tmp_path, monkeypatch, mod
 def test_nonpositive_eps_exits_2(tmp_path, eps):
     assert main(["integrate", "--problem", "robertson", "--t0", "0", "--tf", "1",
                  "--correction", "final", "--eps", eps, "--out", str(tmp_path / "x.csv")]) == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--tf", "nan"],
+        ["--tf", "inf"],
+        ["--t0", "nan"],
+        ["--eps", "nan", "--correction", "final"],
+        ["--mode", "fixed", "--h", "1", "--tf", "2", "--guard"],
+    ],
+    ids=" ".join,
+)
+def test_non_finite_or_contradictory_settings_exit_2(tmp_path, args):
+    out = tmp_path / "x.csv"
+    assert main(["integrate", "--problem", "robertson", *args, "--out", str(out)]) == 2
+    assert not out.exists()

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -178,6 +181,16 @@ def test_scaling_policy():
         ScalingPolicy(epsilon_mode="bogus")
     with pytest.raises(ValueError):
         ScalingPolicy(epsilon_fixed=0.0)
+
+
+@pytest.mark.parametrize("field", ["epsilon_fixed", "epsilon_coeff"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_scaling_policy_rejects_non_finite_parameters(field, value):
+    with pytest.raises(ValueError):
+        ScalingPolicy(**{field: value})
+    # frozen, so a validated policy cannot be changed afterwards
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ScalingPolicy().epsilon_fixed = value
 
 
 def test_diagnostics_negative_tracking():

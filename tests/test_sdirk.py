@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from pdint import sdirk
 from pdint.correction import CorrectionMode
 from pdint.pds import GraphLaplacianModel, LinearInvariant, eval_rhs
 from pdint.problems import robertson, stratospheric
@@ -11,6 +12,7 @@ from pdint.sdirk import (
     ButcherTableau,
     ConfigurationError,
     SolverConfig,
+    StageConvergenceError,
     TrajectoryStatus,
     corrected_step,
     integrate,
@@ -369,3 +371,138 @@ def test_adaptive_accepts_only_small_errors():
     assert traj.status == TrajectoryStatus.COMPLETED
     assert traj.steps_accepted == len(traj.times) - 1
     assert np.all(np.diff(traj.times) > 0.0)
+
+
+# Every way integrate rejects a step, pinned on exact step sizes.
+
+
+def _assert_counts(traj):
+    assert traj.steps_accepted + traj.steps_rejected == len(traj.attempts)
+    assert traj.steps_accepted == sum(a.accepted for a in traj.attempts)
+
+
+def _failing_above(monkeypatch, h_fail):
+    """Make every stage solve with a step above ``h_fail`` raise."""
+    real = sdirk.solve_stage
+
+    def stage(model, t, y_n, h, *args, **kwargs):
+        if h > h_fail:
+            raise StageConvergenceError("forced failure")
+        return real(model, t, y_n, h, *args, **kwargs)
+
+    monkeypatch.setattr(sdirk, "solve_stage", stage)
+
+
+def test_adaptive_stage_failure_halves_the_step(monkeypatch):
+    _failing_above(monkeypatch, 0.3)
+    model, _ = linear_exchange()
+    traj = integrate(model, SolverConfig(h0=0.4), 0.0, 4.0, model.y0)
+    assert traj.status == TrajectoryStatus.COMPLETED
+    failed = [k for k, a in enumerate(traj.attempts) if math.isnan(a.min_predictor)]
+    assert failed and failed[0] == 0
+    for k in failed:
+        assert not traj.attempts[k].accepted
+        assert traj.attempts[k + 1].t == traj.attempts[k].t
+        assert traj.attempts[k + 1].h == traj.attempts[k].h / 2.0
+    _assert_counts(traj)
+
+
+def test_stage_solver_that_always_fails_ends_step_too_small(monkeypatch):
+    _failing_above(monkeypatch, 0.0)
+    model, _ = linear_exchange()
+    traj = integrate(model, SolverConfig(), 0.0, 1.0, model.y0)
+    assert traj.status == TrajectoryStatus.STEP_TOO_SMALL
+    assert len(traj.times) == 1
+    assert not any(a.accepted for a in traj.attempts)
+    hs = [a.h for a in traj.attempts]
+    assert all(b == a / 2.0 for a, b in zip(hs, hs[1:]))
+    _assert_counts(traj)
+
+
+def test_fixed_stage_failure_is_a_solver_failure(monkeypatch):
+    _failing_above(monkeypatch, 0.0)
+    model, _ = linear_exchange()
+    traj = integrate(model, SolverConfig(mode="fixed", h_fixed=0.1), 0.0, 1.0, model.y0)
+    assert traj.status == TrajectoryStatus.SOLVER_FAILURE
+    assert len(traj.attempts) == 1
+    assert math.isnan(traj.attempts[0].min_predictor)
+    _assert_counts(traj)
+
+
+def test_exhausted_attempt_budget_is_a_solver_failure(monkeypatch):
+    monkeypatch.setattr(sdirk, "_MAX_ATTEMPTS", 5)
+    model = robertson()
+    traj = integrate(model, SolverConfig(), 0.0, 1e4, model.y0)
+    assert traj.status == TrajectoryStatus.SOLVER_FAILURE
+    assert len(traj.attempts) == 5
+    _assert_counts(traj)
+
+
+def test_guard_rejection_halves_the_step(monkeypatch):
+    from pdint.problems import KdvConfig, kdv
+
+    errors = {}
+    real = sdirk.corrected_step
+
+    def step(model, t, y, h, tab, config):
+        out = real(model, t, y, h, tab, config)
+        errors[t, h] = out.err
+        return out
+
+    monkeypatch.setattr(sdirk, "corrected_step", step)
+    model = kdv(KdvConfig(n_cells=64))
+    cfg = SolverConfig(correction="none", positivity_guard_rejection=True, h0=0.35e-2)
+    traj = integrate(model, cfg, 0.0, 0.12, model.y0)
+    guarded = [
+        k for k, a in enumerate(traj.attempts[:-1])
+        if a.min_predictor < 0.0 and errors[a.t, a.h] <= 1.0
+    ]
+    assert guarded
+    for k in guarded:
+        assert not traj.attempts[k].accepted
+        assert traj.attempts[k + 1].t == traj.attempts[k].t
+        assert traj.attempts[k + 1].h == traj.attempts[k].h / 2.0
+    _assert_counts(traj)
+
+
+@pytest.mark.parametrize("mode", ["none", "final", "all"])
+def test_attempts_split_into_accepted_and_rejected(mode):
+    model = stratospheric()
+    cfg = SolverConfig(method="sdirk32", correction=mode)
+    traj = integrate(model, cfg, 19 * 3600.0, 19 * 3600.0 + 120.0, model.y0)
+    assert traj.steps_rejected > 0
+    _assert_counts(traj)
+
+
+def test_fixed_mode_rejects_the_positivity_guard():
+    # the guard retries with half the step, which a fixed grid cannot take
+    with pytest.raises(ConfigurationError):
+        SolverConfig(mode="fixed", h_fixed=0.05, positivity_guard_rejection=True)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"atol": math.nan},
+        {"atol": math.inf},
+        {"rtol": math.nan},
+        {"rtol": math.inf},
+        {"h0": math.nan},
+        {"h0": math.inf},
+        {"mode": "fixed", "h_fixed": math.nan},
+        {"mode": "fixed", "h_fixed": math.inf},
+    ],
+    ids=lambda kwargs: ",".join(f"{k}={v}" for k, v in kwargs.items()),
+)
+def test_solver_config_rejects_non_finite_settings(kwargs):
+    with pytest.raises(ConfigurationError):
+        SolverConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "t0,tf", [(0.0, math.nan), (0.0, math.inf), (math.nan, 1.0), (-math.inf, 1.0)]
+)
+def test_integrate_rejects_non_finite_span(t0, tf):
+    model, _ = linear_exchange()
+    with pytest.raises(ConfigurationError):
+        integrate(model, SolverConfig(), t0, tf, model.y0)
