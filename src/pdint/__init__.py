@@ -4,7 +4,6 @@ production-destruction ODE systems with graph-Laplacian structure."""
 from .correction import (
     CorrectionDiagnostics,
     CorrectionMode,
-    ScalingPolicy,
     averaged_g_final,
     clip,
     corrector_solve,

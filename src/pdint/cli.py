@@ -13,13 +13,11 @@ import time
 
 import numpy as np
 
-from .correction import CorrectionMode, ScalingPolicy
+from .correction import CorrectionMode
 from .numerics import fit_slope
 from .pds import invariant_error
 from .problems import DEFAULT_SPANS, PROBLEM_NAMES, get_model
 from .sdirk import ConfigurationError, SolverConfig, TrajectoryStatus, integrate
-
-_CORRECTIONS = {"none": CorrectionMode.NONE, "final": CorrectionMode.FINAL, "all": CorrectionMode.ALL}
 
 
 def _fmt(x: float) -> str:
@@ -48,7 +46,6 @@ def _span(args, which="run"):
 
 
 def _build_config(args, correction=None):
-    scaling = ScalingPolicy() if args.eps is None else ScalingPolicy(epsilon_fixed=args.eps)
     return SolverConfig(
         method=args.method,
         mode=args.mode,
@@ -56,8 +53,8 @@ def _build_config(args, correction=None):
         h0=args.h0,
         atol=args.atol,
         rtol=args.rtol,
-        correction=correction if correction is not None else _CORRECTIONS[args.correction],
-        scaling=scaling,
+        correction=correction if correction is not None else args.correction,
+        eps=args.eps,
         positivity_guard_rejection=bool(getattr(args, "guard", False)),
     )
 
@@ -207,7 +204,7 @@ def _add_common(sub):
     sub.add_argument("--problem", required=True, choices=PROBLEM_NAMES)
     sub.add_argument("--param", action="append", metavar="K=V")
     sub.add_argument("--method", default="sdirk21", choices=["sdirk21", "sdirk32", "sdirk43"])
-    sub.add_argument("--correction", default="none", choices=sorted(_CORRECTIONS))
+    sub.add_argument("--correction", default="none", choices=[m.value for m in CorrectionMode])
     sub.add_argument("--mode", default="adaptive", choices=["adaptive", "fixed"])
     sub.add_argument("--atol", type=float, default=1e-6)
     sub.add_argument("--rtol", type=float, default=1e-6)
@@ -215,7 +212,8 @@ def _add_common(sub):
     sub.add_argument("--h0", type=float, help="initial step for adaptive mode")
     sub.add_argument("--t0", type=float)
     sub.add_argument("--tf", type=float)
-    sub.add_argument("--eps", type=float, help="ratio-scaling denominator floor")
+    sub.add_argument("--eps", type=float, default=SolverConfig.eps,
+                     help="ratio-scaling denominator floor")
     sub.add_argument("--guard", action="store_true",
                      help="reject error-accepted steps with negative predictors")
     sub.add_argument("--out", default="out.csv")

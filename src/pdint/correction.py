@@ -26,35 +26,6 @@ class CorrectionMode(str, Enum):
     ALL = "all"
 
 
-@dataclass(frozen=True)
-class ScalingPolicy:
-    """Resolution rule for the denominator floor used in ratio scalings.
-
-    ``fixed`` uses ``epsilon_fixed`` for every step.  ``step-scaled``
-    ties the floor to the local truncation error, ``epsilon_coeff *
-    h**(order+1)``; with adaptive stepping this makes the floor jump
-    across rejected steps, which is why ``fixed`` is the default.
-    """
-
-    epsilon_mode: str = "fixed"
-    epsilon_fixed: float = 1e-10
-    epsilon_coeff: float = 1.0
-
-    def __post_init__(self):
-        if self.epsilon_mode not in ("fixed", "step-scaled"):
-            raise ValueError(f"unknown epsilon mode {self.epsilon_mode!r}")
-        # written so that NaN fails
-        if not (0.0 < self.epsilon_fixed < np.inf and 0.0 < self.epsilon_coeff < np.inf):
-            raise ValueError("epsilon parameters must be positive and finite")
-
-    def resolve(self, h: float, order: int) -> float:
-        if self.epsilon_mode == "fixed":
-            return self.epsilon_fixed
-        eps = self.epsilon_coeff * h ** (order + 1)
-        # guard against underflow to zero for very small steps
-        return max(eps, 5e-324)
-
-
 @dataclass
 class CorrectionDiagnostics:
     """Per-step record of what the correction actually did."""

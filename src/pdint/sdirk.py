@@ -14,7 +14,7 @@ A single integration is sequential; separate integrations over shared
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -22,7 +22,6 @@ import numpy as np
 from .correction import (
     CorrectionDiagnostics,
     CorrectionMode,
-    ScalingPolicy,
     averaged_g_final,
     clip,
     corrector_solve,
@@ -31,7 +30,7 @@ from .correction import (
 # unused here, but perfbench/test_tracer.py (test_every_wrapper_is_removed_after_a_traced_run,
 # test_metric_names_are_well_formed_and_match_the_benchmark) looks both names up on this module
 from .correction import h_form_corrector, stage_corrected_g  # noqa: F401
-from .numerics import identity_minus, lu_solve, vector, wrms_norm
+from .numerics import SingularMatrixError, identity_minus, lu_solve, vector, wrms_norm
 from .pds import eval_rhs
 
 _TINY = 1e-30
@@ -58,9 +57,7 @@ class ButcherTableau:
     b: np.ndarray
     b_hat: np.ndarray
     c: np.ndarray
-    p: int
     p_hat: int
-    gamma: float
 
     def __post_init__(self):
         a = self.A
@@ -71,6 +68,9 @@ class ButcherTableau:
             raise ValueError("A must be lower triangular")
         if not np.allclose(np.diagonal(a), self.gamma, rtol=0, atol=1e-15):
             raise ValueError("all diagonal entries must equal gamma")
+        for v, label in ((self.b, "b"), (self.b_hat, "b_hat"), (self.c, "c")):
+            if np.shape(v) != (s,) or not np.all(np.isfinite(v)):
+                raise ValueError(f"{label} must be a finite vector of length {s}")
         for w, label in ((self.b, "b"), (self.b_hat, "b_hat")):
             if abs(w.sum() - 1.0) > 1e-14:
                 raise ValueError(f"{label} weights must sum to 1")
@@ -78,6 +78,11 @@ class ButcherTableau:
     @property
     def s(self) -> int:
         return self.A.shape[0]
+
+    @property
+    def gamma(self) -> float:
+        """The shared diagonal coefficient of A."""
+        return float(self.A[0, 0])
 
     @property
     def stiffly_accurate(self) -> bool:
@@ -94,9 +99,7 @@ def _sdirk21() -> ButcherTableau:
         b=np.array([w, gamma]),
         b_hat=np.array([2.0 / 3.0, 1.0 / 3.0]),
         c=np.array([gamma, 1.0]),
-        p=2,
         p_hat=1,
-        gamma=gamma,
     )
 
 
@@ -127,9 +130,7 @@ def _sdirk32() -> ButcherTableau:
         b=a[-1].copy(),
         b_hat=b_hat,
         c=np.array([g, 7.0 / 13.0, 11.0 / 15.0, 1.0]),
-        p=3,
         p_hat=2,
-        gamma=g,
     )
 
 
@@ -159,9 +160,7 @@ def _sdirk43() -> ButcherTableau:
         b=a[-1].copy(),
         b_hat=b_hat,
         c=np.array([0.25, 0.9, 2.0 / 3.0, 0.6, 1.0]),
-        p=4,
         p_hat=3,
-        gamma=g,
     )
 
 
@@ -188,7 +187,7 @@ class SolverConfig:
     atol: float = 1e-6
     rtol: float = 1e-6
     correction: CorrectionMode | str = CorrectionMode.NONE
-    scaling: ScalingPolicy = field(default_factory=ScalingPolicy)
+    eps: float = 1e-10  # ratio-scaling denominator floor
     positivity_guard_rejection: bool = False
 
     def __post_init__(self):
@@ -200,6 +199,8 @@ class SolverConfig:
             raise ConfigurationError("atol must be positive and finite")
         if not 0.0 <= self.rtol < math.inf:
             raise ConfigurationError("rtol must be nonnegative and finite")
+        if not 0.0 < self.eps < math.inf:
+            raise ConfigurationError("eps must be positive and finite")
         if self.h0 is not None and not 0.0 < self.h0 < math.inf:
             raise ConfigurationError("h0 must be positive and finite")
         if self.mode == "fixed":
@@ -277,7 +278,7 @@ def _fd_jacobian(model, t, y, f0):
     return jac
 
 
-def _newton_stage(model, t, rhs, h_aii, y_init, budget, atol_it, tol):
+def _newton_stage(model, t, rhs, h_aii, y_init, budget, atol_it):
     """Damped modified Newton on Y - rhs - h*a_ii*f(t, Y) = 0.
 
     The Jacobian comes from finite differences and is reused while
@@ -287,7 +288,7 @@ def _newton_stage(model, t, rhs, h_aii, y_init, budget, atol_it, tol):
     y = y_init.copy()
     f = eval_rhs(model, t, y)
     resid = y - rhs - h_aii * f
-    rn = wrms_norm(resid, y, atol_it, tol)
+    rn = wrms_norm(resid, y, atol_it, _STAGE_TOL)
     a_fact = None
     fresh = False
     for _ in range(budget):
@@ -303,7 +304,7 @@ def _newton_stage(model, t, rhs, h_aii, y_init, budget, atol_it, tol):
             y_new = y + alpha * delta
             f_new = eval_rhs(model, t, y_new)
             r_new = y_new - rhs - h_aii * f_new
-            rn_new = wrms_norm(r_new, y_new, atol_it, tol)
+            rn_new = wrms_norm(r_new, y_new, atol_it, _STAGE_TOL)
             if rn_new < rn:
                 improved = True
                 break
@@ -323,7 +324,7 @@ def _newton_stage(model, t, rhs, h_aii, y_init, budget, atol_it, tol):
     raise StageConvergenceError(f"stage iteration exceeded budget at t={t}")
 
 
-def solve_stage(model, t_stage, y_n, h, a_ii, rhs_accum, max_iter=_STAGE_MAX_ITER, tol=_STAGE_TOL):
+def solve_stage(model, t_stage, y_n, h, a_ii, rhs_accum):
     """Solve one implicit stage Y = y_n + rhs_accum + h*a_ii*f(t, Y).
 
     Graph-Laplacian models use the frozen-matrix fixed point
@@ -335,30 +336,31 @@ def solve_stage(model, t_stage, y_n, h, a_ii, rhs_accum, max_iter=_STAGE_MAX_ITE
     Both iterations stop on a per-component test: the weighted RMS norm
     of the update (Picard) or the residual (Newton), with weights
     atol_i + tol*|Y_i| and atol_i = tol * min(y_scale_i, s), must be at
-    most one; s is the largest magnitude in y_n and y_n + rhs_accum, and
-    ``y_scale`` is the model's declared component magnitude.  A trace
-    species thus converges on its own scale, not on that of the largest
-    component, which can lie 14 decades above it.
+    most one; tol is ``_STAGE_TOL``, s is the largest magnitude in y_n
+    and y_n + rhs_accum, and ``y_scale`` is the model's declared
+    component magnitude.  A trace species thus converges on its own
+    scale, not on that of the largest component, which can lie 14
+    decades above it.
     """
     y_n = np.asarray(y_n, dtype=float)
     rhs = y_n + rhs_accum
     if a_ii == 0.0:
         return rhs
     scale = max(np.max(np.abs(y_n)), np.max(np.abs(rhs)), _TINY)
-    atol_it = tol * np.clip(model.y_scale, _TINY, scale)
+    atol_it = _STAGE_TOL * np.clip(model.y_scale, _TINY, scale)
     if not model.multiplicand_is_state:
-        return _newton_stage(model, t_stage, rhs, h * a_ii, rhs, max_iter, atol_it, tol)
+        return _newton_stage(model, t_stage, rhs, h * a_ii, rhs, _STAGE_MAX_ITER, atol_it)
     d = y_n.size
     eye = np.eye(d)
     h_aii = h * a_ii
     y = y_n.copy()
     prev = math.inf
-    picard_budget = max(1, max_iter // 2)
+    picard_budget = max(1, _STAGE_MAX_ITER // 2)
     used = 0
     for _ in range(picard_budget):
         g = model.matrix(t_stage, y)
         y_new = lu_solve(eye - h_aii * g, rhs)
-        dn = wrms_norm(y_new - y, y_new, atol_it, tol)
+        dn = wrms_norm(y_new - y, y_new, atol_it, _STAGE_TOL)
         y = y_new
         used += 1
         if dn <= 1.0:
@@ -366,15 +368,12 @@ def solve_stage(model, t_stage, y_n, h, a_ii, rhs_accum, max_iter=_STAGE_MAX_ITE
         if used >= 3 and dn > 0.9 * prev:
             break  # no contraction, hand over to Newton
         prev = dn
-    return _newton_stage(
-        model, t_stage, rhs, h_aii, y, max_iter - used, atol_it, tol
-    )
+    return _newton_stage(model, t_stage, rhs, h_aii, y, _STAGE_MAX_ITER - used, atol_it)
 
 
 def predictor_step(model, t_n, y_n, h, tab, eps=None, diag=None):
     """Plain SDIRK step: stages, predicted solution, embedded solution.
 
-    Also returns the stage derivative values for reuse by the corrector.
     For stiffly accurate tableaus the predicted solution is the last
     stage vector itself, bit for bit.
 
@@ -405,7 +404,7 @@ def predictor_step(model, t_n, y_n, h, tab, eps=None, diag=None):
     else:
         y_pred = y_n + h * sum(bj * fj for bj, fj in zip(tab.b, fs))
     y_hat = y_n + h * sum(bj * fj for bj, fj in zip(tab.b_hat, fs))
-    return stages, y_pred, y_hat, fs
+    return stages, y_pred, y_hat
 
 
 def _matrix_argument(model, y):
@@ -457,9 +456,9 @@ def corrected_step(model, t_n, y_n, h, tab, config: SolverConfig) -> StepOutcome
     mode = config.correction
     if mode == CorrectionMode.ALL and not tab.stiffly_accurate:
         raise ConfigurationError("all-stages correction requires a stiffly accurate tableau")
-    eps = config.scaling.resolve(h, tab.p)
+    eps = config.eps
     diag = CorrectionDiagnostics() if mode == CorrectionMode.ALL else None
-    stages, y_pred, y_hat, _fs = predictor_step(model, t_n, y_n, h, tab, eps, diag)
+    stages, y_pred, y_hat = predictor_step(model, t_n, y_n, h, tab, eps, diag)
     if mode == CorrectionMode.ALL:
         y_corr = stages[-1]
     elif mode == CorrectionMode.FINAL:
@@ -484,12 +483,13 @@ def integrate(model, config: SolverConfig, t0: float, tf: float, y0) -> Trajecto
     Adaptive mode accepts a step when its weighted error estimate is at
     most one and rescales the step with the standard elementary
     controller; fixed mode takes uniform steps and ends in
-    ``solver_failure`` if a stage solve fails.  With the positivity
-    guard enabled, any step whose predictor has a negative component is
-    rejected and retried with half the step, with controller growth
-    suspended until a step is accepted.  A failed stage solve also
-    halves the step.  The run ends ``step_too_small`` once the step
-    falls below ``1e4 * eps * max(|t0|, |tf|)``.
+    ``solver_failure`` if a stage or corrector solve fails to converge or
+    meets a singular matrix.  With the positivity guard enabled, any
+    step whose predictor has a negative component is rejected and
+    retried with half the step, with controller growth suspended until
+    a step is accepted.  A failed solve also halves the step.  The run
+    ends ``step_too_small`` once the step falls below
+    ``1e4 * machine_epsilon * max(|t0|, |tf|)``.
     """
     if not (math.isfinite(t0) and math.isfinite(tf) and t0 < tf):
         raise ConfigurationError("t0 and tf must be finite with tf > t0")
@@ -525,7 +525,7 @@ def integrate(model, config: SolverConfig, t0: float, tf: float, y0) -> Trajecto
             h_try = min(h, tf - t)
         try:
             out = corrected_step(model, t, y, h_try, tab, config)
-        except StageConvergenceError:
+        except (StageConvergenceError, SingularMatrixError):
             out = None
         min_pred = math.nan if out is None else float(out.y_pred.min())
         passed = out is not None and (fixed or out.err <= 1.0)  # fixed steps take no error test

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pdint import cli
+from pdint import SolverConfig, cli, integrate, robertson
 from pdint.cli import main
 
 
@@ -188,3 +188,17 @@ def test_non_finite_or_contradictory_settings_exit_2(tmp_path, args):
     out = tmp_path / "x.csv"
     assert main(["integrate", "--problem", "robertson", *args, "--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_eps_reaches_the_corrector(tmp_path):
+    args = ["integrate", "--problem", "robertson", "--mode", "fixed", "--h", "2000",
+            "--t0", "0", "--tf", "1e4", "--correction", "final"]
+    floored, default = tmp_path / "floored.csv", tmp_path / "default.csv"
+    assert main([*args, "--eps", "1e-6", "--out", str(floored)]) == 0
+    assert main([*args, "--out", str(default)]) == 0
+    model = robertson()
+    config = SolverConfig(mode="fixed", h_fixed=2000.0, correction="final", eps=1e-6)
+    library = tmp_path / "library.csv"
+    cli._write_trajectory_csv(library, integrate(model, config, 0.0, 1e4, model.y0))
+    assert floored.read_bytes() == library.read_bytes()
+    assert floored.read_bytes() != default.read_bytes()

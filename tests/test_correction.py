@@ -1,12 +1,8 @@
-import dataclasses
-import math
-
 import numpy as np
 import pytest
 
 from pdint.correction import (
     CorrectionDiagnostics,
-    ScalingPolicy,
     averaged_g_final,
     clip,
     corrector_solve,
@@ -170,27 +166,6 @@ def test_h_form_corrector_mass_conservation():
         y_pred = rng.uniform(-0.1, 1.0, size=d)
         out = h_form_corrector(y, 0.3, [0.5, 0.5], hs, y_pred, 1e-10)
         assert out.sum() == pytest.approx(y.sum(), rel=1e-12)
-
-
-def test_scaling_policy():
-    fixed = ScalingPolicy()
-    assert fixed.resolve(0.1, 2) == 1e-10
-    scaled = ScalingPolicy(epsilon_mode="step-scaled", epsilon_coeff=2.0)
-    assert scaled.resolve(0.1, 2) == pytest.approx(2.0 * 0.1**3)
-    with pytest.raises(ValueError):
-        ScalingPolicy(epsilon_mode="bogus")
-    with pytest.raises(ValueError):
-        ScalingPolicy(epsilon_fixed=0.0)
-
-
-@pytest.mark.parametrize("field", ["epsilon_fixed", "epsilon_coeff"])
-@pytest.mark.parametrize("value", [math.nan, math.inf])
-def test_scaling_policy_rejects_non_finite_parameters(field, value):
-    with pytest.raises(ValueError):
-        ScalingPolicy(**{field: value})
-    # frozen, so a validated policy cannot be changed afterwards
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        ScalingPolicy().epsilon_fixed = value
 
 
 def test_diagnostics_negative_tracking():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -59,13 +60,16 @@ def test_tableau_coefficients():
 @pytest.mark.parametrize("name,p,p_hat,s", [("sdirk21", 2, 1, 2), ("sdirk32", 3, 2, 4), ("sdirk43", 4, 3, 5)])
 def test_tableau_structure(name, p, p_hat, s):
     tab = tableau(name)
-    assert (tab.p, tab.p_hat, tab.s) == (p, p_hat, s)
+    assert (tab.p_hat, tab.s) == (p_hat, s)
     assert tab.stiffly_accurate
     assert np.all(np.triu(tab.A, 1) == 0.0)
     assert np.allclose(np.diagonal(tab.A), tab.gamma, rtol=0, atol=0)
     assert abs(tab.b.sum() - 1.0) < 1e-14
     assert abs(tab.b_hat.sum() - 1.0) < 1e-14
-    assert abs(tab.b @ tab.c - 0.5) < 1e-14  # order two quadrature
+    # the weights integrate polynomials exactly up to degree p - 1, not p
+    for k in range(1, p + 1):
+        assert abs(tab.b @ tab.c ** (k - 1) - 1.0 / k) < 1e-14
+    assert abs(tab.b @ tab.c**p - 1.0 / (p + 1)) > 1e-3
     # row-sum convention ties stage times to the coefficients
     assert np.allclose(tab.A.sum(axis=1), tab.c, rtol=0, atol=1e-14)
 
@@ -78,10 +82,33 @@ def test_tableau_validation_rejects_bad_weights():
             b=np.array([0.9]),
             b_hat=np.array([1.0]),
             c=np.array([0.5]),
-            p=1,
             p_hat=1,
-            gamma=0.5,
         )
+
+
+def two_stage_fields():
+    return dict(
+        name="two-stage", A=np.array([[0.5, 0.0], [0.5, 0.5]]), b=np.array([0.5, 0.5]),
+        b_hat=np.array([1.0, 0.0]), c=np.array([0.5, 1.0]), p_hat=1,
+    )
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("b", [1.0]),
+        ("b_hat", [0.5, 0.25, 0.25]),
+        ("c", [1.0]),
+        ("b", [math.nan, 1.0]),
+        ("b_hat", [math.inf, -math.inf]),
+        ("c", [0.5, math.inf]),
+    ],
+    ids=lambda v: str(v),
+)
+def test_tableau_rejects_vectors_of_wrong_length_or_non_finite(field, value):
+    ButcherTableau(**two_stage_fields())
+    with pytest.raises(ValueError):
+        ButcherTableau(**{**two_stage_fields(), field: np.array(value)})
 
 
 def test_solve_stage_constant_matrix_single_solve():
@@ -148,7 +175,7 @@ def test_solve_stage_converges_every_component_of_a_badly_scaled_system(h):
 def test_predictor_zero_field_is_identity():
     model = GraphLaplacianModel(dim=2, eval_G=lambda t, y: np.zeros((2, 2)), label="null")
     y_n = np.array([0.3, 0.7])
-    stages, y_pred, y_hat, _ = predictor_step(model, 0.0, y_n, 0.5, tableau("sdirk21"))
+    stages, y_pred, y_hat = predictor_step(model, 0.0, y_n, 0.5, tableau("sdirk21"))
     assert all(np.array_equal(s, y_n) for s in stages)
     assert np.array_equal(y_pred, y_n)
     assert np.array_equal(y_hat, y_n)
@@ -167,14 +194,14 @@ def test_predictor_matches_stability_function_scalar_decay(name):
     model = GraphLaplacianModel(dim=1, eval_G=lambda t, y: np.array([[-1.0]]), label="decay")
     tab = tableau(name)
     h = 0.1
-    _, y_pred, _, _ = predictor_step(model, 0.0, np.array([1.0]), h, tab)
+    _, y_pred, _ = predictor_step(model, 0.0, np.array([1.0]), h, tab)
     assert y_pred[0] == pytest.approx(stability_function(tab, -h), rel=1e-12)
 
 
 @pytest.mark.parametrize("name", ["sdirk21", "sdirk32", "sdirk43"])
 def test_predictor_equals_last_stage_for_stiffly_accurate(name):
     model = robertson()
-    stages, y_pred, _, _ = predictor_step(
+    stages, y_pred, _ = predictor_step(
         model, 0.0, np.array([0.7, 1e-5, 0.3]), 1e-3, tableau(name)
     )
     assert y_pred is stages[-1]
@@ -239,8 +266,31 @@ def implicit_euler():
     one = np.array([1.0])
     return ButcherTableau(
         name="implicit-euler", A=np.array([[1.0]]), b=one, b_hat=one, c=one,
-        p=1, p_hat=1, gamma=1.0,
+        p_hat=1,
     )
+
+
+def growth():
+    """y' = 2y, whose implicit Euler stage matrix 1 - 2h is singular at h = 0.5."""
+    return GraphLaplacianModel(dim=1, eval_G=lambda t, y: np.array([[2.0]]), y0=np.array([1.0]))
+
+
+def test_singular_fixed_step_is_a_solver_failure():
+    cfg = SolverConfig(method=implicit_euler(), mode="fixed", h_fixed=0.5)
+    traj = integrate(growth(), cfg, 0.0, 1.0, np.array([1.0]))
+    assert traj.status == TrajectoryStatus.SOLVER_FAILURE
+    assert len(traj.attempts) == 1
+    assert math.isnan(traj.attempts[0].min_predictor)
+
+
+def test_singular_adaptive_step_is_halved():
+    cfg = SolverConfig(method=implicit_euler(), h0=0.5)
+    traj = integrate(growth(), cfg, 0.0, 1.0, np.array([1.0]))
+    assert traj.status == TrajectoryStatus.COMPLETED
+    assert math.isnan(traj.attempts[0].min_predictor)
+    assert traj.attempts[1].h == 0.25
+    assert (traj.steps_rejected, traj.steps_accepted) == (1, 2)
+    _assert_counts(traj)
 
 
 @pytest.mark.parametrize("h", [0.1, 0.2])
@@ -270,8 +320,22 @@ def test_final_and_all_stage_correction_share_the_corrector_on_graph_laplacian()
         corrected_step(model, 0.0, y_n, 0.5, tab, SolverConfig(correction=mode))
         for mode in ("final", "all")
     )
-    assert final.y_pred.min() > SolverConfig().scaling.epsilon_fixed
+    assert final.y_pred.min() > SolverConfig().eps
     assert np.array_equal(final.y_corrected, every.y_corrected)
+
+
+@pytest.mark.parametrize("mode", ["final", "all"])
+def test_ratio_scaling_floor_reaches_the_corrector(mode):
+    # Robertson's trace species fall below a floor of 1e-6, so raising it
+    # from the default 1e-10 shrinks their scalings and moves the state
+    model = robertson()
+    default = SolverConfig(mode="fixed", h_fixed=2000.0, correction=mode)
+    floored = SolverConfig(mode="fixed", h_fixed=2000.0, correction=mode, eps=1e-6)
+    a, b = (integrate(model, cfg, 0.0, 1e4, model.y0) for cfg in (default, floored))
+    assert a.status == b.status == TrajectoryStatus.COMPLETED
+    assert np.array_equal(a.times, b.times)
+    assert 1e-6 < np.max(np.abs(a.states[-1] - b.states[-1])) < 1e-5
+    assert b.min_component >= 0.0
 
 
 def test_strong_sign_model_skips_stage_clipping():
@@ -303,9 +367,7 @@ def test_all_stages_requires_stiffly_accurate():
         b=np.array([1.0]),
         b_hat=np.array([1.0]),
         c=np.array([0.5]),
-        p=2,
         p_hat=1,
-        gamma=0.5,
     )
     cfg = SolverConfig(correction="all")
     with pytest.raises(ConfigurationError):
@@ -506,3 +568,12 @@ def test_integrate_rejects_non_finite_span(t0, tf):
     model, _ = linear_exchange()
     with pytest.raises(ConfigurationError):
         integrate(model, SolverConfig(), t0, tf, model.y0)
+
+
+@pytest.mark.parametrize("eps", [0.0, math.nan, math.inf])
+def test_solver_config_eps_must_be_positive_and_finite(eps):
+    with pytest.raises(ConfigurationError):
+        SolverConfig(eps=eps)
+    # frozen, so a validated config cannot be changed afterwards
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        SolverConfig().eps = eps
