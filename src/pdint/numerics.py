@@ -7,7 +7,7 @@ concurrently.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dgesv
+from scipy.linalg.lapack import dgesv, dgetrf, dgetrs
 
 # A pivot below this magnitude is treated as an exact singularity.  The
 # threshold sits near the underflow limit on purpose: the matrices solved
@@ -31,6 +31,15 @@ def vector(entries) -> np.ndarray:
     return v
 
 
+def _check_pivots(lu: np.ndarray, info: int) -> None:
+    # an exactly zero pivot only sets info > 0; this test turns every
+    # near-singular factorization into a hard error
+    if info < 0:
+        raise ValueError(f"LAPACK: illegal value in argument {-info}")
+    if np.abs(np.diagonal(lu)).min() < PIVOT_TOL:
+        raise SingularMatrixError("singular matrix: pivot below 1e-300")
+
+
 def lu_solve(a: np.ndarray, b: np.ndarray, overwrite_a: bool = False) -> np.ndarray:
     """Solve ``a @ x = b`` by LU factorization with partial pivoting.
 
@@ -48,14 +57,28 @@ def lu_solve(a: np.ndarray, b: np.ndarray, overwrite_a: bool = False) -> np.ndar
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     if b.shape[0] != a.shape[0]:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    # one LAPACK call factors and solves; an exactly zero pivot only sets
-    # info > 0, and the check below turns every near-singular
-    # factorization into a hard error
-    lu, _piv, x, info = dgesv(a, b, overwrite_a=overwrite_a)
-    if info < 0:
-        raise ValueError(f"dgesv: illegal value in argument {-info}")
-    if np.abs(np.diagonal(lu)).min() < PIVOT_TOL:
-        raise SingularMatrixError("singular matrix: pivot below 1e-300")
+    lu, _piv, x, info = dgesv(a, b, overwrite_a=overwrite_a)  # one call factors and solves
+    _check_pivots(lu, info)
+    return x
+
+
+def lu_factor(a: np.ndarray, overwrite_a: bool = False) -> tuple:
+    """Factor a square ``a`` once for many solves with :func:`lu_back_solve`.
+
+    Factors and solutions equal those of :func:`lu_solve` bit for bit, and
+    a singular ``a`` raises the same :class:`SingularMatrixError`.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {a.shape}")
+    lu, piv, info = dgetrf(a, overwrite_a=overwrite_a)
+    _check_pivots(lu, info)
+    return lu, piv
+
+
+def lu_back_solve(factors: tuple, b: np.ndarray) -> np.ndarray:
+    """Solve ``a @ x = b`` from the ``(lu, piv)`` that :func:`lu_factor` gave for ``a``."""
+    x, _info = dgetrs(*factors, b)  # info < 0 cannot occur once dgetrf accepted the matrix
     return x
 
 

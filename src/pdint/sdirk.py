@@ -31,6 +31,7 @@ from .correction import (
 # test_metric_names_are_well_formed_and_match_the_benchmark) looks both names up on this module
 from .correction import h_form_corrector, stage_corrected_g  # noqa: F401
 from .numerics import SingularMatrixError, identity_minus, lu_solve, vector, wrms_norm
+from .numerics import lu_back_solve, lu_factor
 from .pds import eval_rhs
 
 _TINY = 1e-30
@@ -281,9 +282,9 @@ def _fd_jacobian(model, t, y, f0):
 def _newton_stage(model, t, rhs, h_aii, y_init, budget, atol_it):
     """Damped modified Newton on Y - rhs - h*a_ii*f(t, Y) = 0.
 
-    The Jacobian comes from finite differences and is reused while
-    convergence is fast; steps backtrack whenever the weighted residual
-    would grow.
+    The Jacobian comes from finite differences; I - h*a_ii*J is factored
+    once and its factors are reused while convergence is fast.  Steps
+    backtrack whenever the weighted residual would grow.
     """
     y = y_init.copy()
     f = eval_rhs(model, t, y)
@@ -295,9 +296,9 @@ def _newton_stage(model, t, rhs, h_aii, y_init, budget, atol_it):
         if rn <= 1.0:
             return y
         if a_fact is None:
-            a_fact = identity_minus(h_aii, _fd_jacobian(model, t, y, f))
+            a_fact = lu_factor(identity_minus(h_aii, _fd_jacobian(model, t, y, f)), True)
             fresh = True
-        delta = lu_solve(a_fact, -resid)
+        delta = lu_back_solve(a_fact, -resid)
         alpha = 1.0
         improved = False
         while alpha >= 1e-8:

@@ -6,6 +6,8 @@ from pdint.numerics import (
     SingularMatrixError,
     fit_slope,
     identity_minus,
+    lu_back_solve,
+    lu_factor,
     lu_solve,
     vector,
     wrms_norm,
@@ -31,6 +33,19 @@ def test_lu_solve_2x2_hand_elimination():
 def test_lu_solve_singular():
     with pytest.raises(SingularMatrixError):
         lu_solve(np.zeros((2, 2)), np.ones(2))
+
+
+@pytest.mark.parametrize("a", [np.zeros((2, 2)), np.array([[1.0, 2.0], [2.0, 4.0]]), np.diag([1.0, 1e-301])])
+def test_lu_factor_singular(a):
+    with pytest.raises(SingularMatrixError):
+        lu_solve(a, np.ones(2))
+    with pytest.raises(SingularMatrixError):
+        lu_factor(a)
+
+
+def test_lu_factor_rejects_non_square():
+    with pytest.raises(ValueError):
+        lu_factor(np.ones((2, 3)))
 
 
 def test_lu_solve_dimension_mismatch():
@@ -63,6 +78,17 @@ def test_lu_solve_matches_two_step_factor_and_solve():
         b = rng.random(d)
         lu_piv = scipy.linalg.lu_factor(a)
         assert np.array_equal(lu_solve(a, b), scipy.linalg.lu_solve(lu_piv, b))
+
+
+@pytest.mark.parametrize("d", [3, 6, 64])
+def test_lu_factor_and_back_solve_equal_lu_solve_bit_for_bit(d):
+    rng = np.random.default_rng(d)
+    for _ in range(20):
+        a = rng.standard_normal((d, d))
+        factors = lu_factor(np.asfortranarray(a), overwrite_a=True)
+        for _ in range(3):  # one factorization serves every right-hand side
+            b = rng.standard_normal(d)
+            assert np.array_equal(lu_back_solve(factors, b), lu_solve(a, b))
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
