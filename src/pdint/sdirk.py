@@ -279,22 +279,28 @@ def _fd_jacobian(model, t, y, f0):
     return jac
 
 
-def _newton_stage(model, t, rhs, h_aii, y_init, budget, atol_it):
+def _newton_stage(model, t, rhs, h_aii, y_init, budget, atol_it, newton_matrix):
     """Damped modified Newton on Y - rhs - h*a_ii*f(t, Y) = 0.
 
     The Jacobian comes from finite differences; I - h*a_ii*J is factored
     once and its factors are reused while convergence is fast.  Steps
     backtrack whenever the weighted residual would grow.
+
+    ``newton_matrix`` is a one-element list holding the factors last used,
+    or None.  Factors found there are treated as stale: they are rebuilt at
+    the current iterate when they give no descent or slow convergence.  On
+    return the list holds the factors for the next stage with the same
+    h*a_ii.
     """
     y = y_init.copy()
     f = eval_rhs(model, t, y)
     resid = y - rhs - h_aii * f
     rn = wrms_norm(resid, y, atol_it, _STAGE_TOL)
-    a_fact = None
+    a_fact = newton_matrix[0]
     fresh = False
     for _ in range(budget):
         if rn <= 1.0:
-            return y
+            break
         if a_fact is None:
             a_fact = lu_factor(identity_minus(h_aii, _fd_jacobian(model, t, y, f)), True)
             fresh = True
@@ -320,12 +326,13 @@ def _newton_stage(model, t, rhs, h_aii, y_init, budget, atol_it):
         fresh = False
         if slow:
             a_fact = None
-    if rn <= 1.0:
-        return y
-    raise StageConvergenceError(f"stage iteration exceeded budget at t={t}")
+    if rn > 1.0:
+        raise StageConvergenceError(f"stage iteration exceeded budget at t={t}")
+    newton_matrix[0] = a_fact
+    return y
 
 
-def solve_stage(model, t_stage, y_n, h, a_ii, rhs_accum):
+def solve_stage(model, t_stage, y_n, h, a_ii, rhs_accum, newton_matrix=None):
     """Solve one implicit stage Y = y_n + rhs_accum + h*a_ii*f(t, Y).
 
     Graph-Laplacian models use the frozen-matrix fixed point
@@ -333,6 +340,8 @@ def solve_stage(model, t_stage, y_n, h, a_ii, rhs_accum):
     the corrector's M-matrix solve; a finite-difference Newton fallback
     takes over if the fixed point stops contracting.  H-form models go
     straight to Newton since their stage equation has no G*y structure.
+    ``newton_matrix`` carries Newton's factored
+    matrix between the stages of one step (see :func:`_newton_stage`).
 
     Both iterations stop on a per-component test: the weighted RMS norm
     of the update (Picard) or the residual (Newton), with weights
@@ -349,27 +358,25 @@ def solve_stage(model, t_stage, y_n, h, a_ii, rhs_accum):
         return rhs
     scale = max(np.max(np.abs(y_n)), np.max(np.abs(rhs)), _TINY)
     atol_it = _STAGE_TOL * np.clip(model.y_scale, _TINY, scale)
-    if not model.multiplicand_is_state:
-        return _newton_stage(model, t_stage, rhs, h * a_ii, rhs, _STAGE_MAX_ITER, atol_it)
-    d = y_n.size
-    eye = np.eye(d)
     h_aii = h * a_ii
-    y = y_n.copy()
-    prev = math.inf
-    picard_budget = max(1, _STAGE_MAX_ITER // 2)
-    used = 0
-    for _ in range(picard_budget):
-        g = model.matrix(t_stage, y)
-        y_new = lu_solve(eye - h_aii * g, rhs)
-        dn = wrms_norm(y_new - y, y_new, atol_it, _STAGE_TOL)
-        y = y_new
-        used += 1
-        if dn <= 1.0:
-            return y
-        if used >= 3 and dn > 0.9 * prev:
-            break  # no contraction, hand over to Newton
-        prev = dn
-    return _newton_stage(model, t_stage, rhs, h_aii, y, _STAGE_MAX_ITER - used, atol_it)
+    y, used = rhs, 0
+    if model.multiplicand_is_state:
+        eye = np.eye(y_n.size)
+        y = y_n.copy()
+        prev = math.inf
+        for _ in range(max(1, _STAGE_MAX_ITER // 2)):
+            g = model.matrix(t_stage, y)
+            y_new = lu_solve(eye - h_aii * g, rhs)
+            dn = wrms_norm(y_new - y, y_new, atol_it, _STAGE_TOL)
+            y = y_new
+            used += 1
+            if dn <= 1.0:
+                return y
+            if used >= 3 and dn > 0.9 * prev:
+                break  # no contraction, hand over to Newton
+            prev = dn
+    newton_matrix = [None] if newton_matrix is None else newton_matrix
+    return _newton_stage(model, t_stage, rhs, h_aii, y, _STAGE_MAX_ITER - used, atol_it, newton_matrix)
 
 
 def predictor_step(model, t_n, y_n, h, tab, eps=None, diag=None):
@@ -386,12 +393,13 @@ def predictor_step(model, t_n, y_n, h, tab, eps=None, diag=None):
     """
     a, c = tab.A, tab.c
     stages, fs, mats = [], [], []
+    newton_matrix = [None]  # every stage of the step has the same h*gamma
     for i in range(tab.s):
         rhs_accum = np.zeros_like(y_n)
         for j in range(i):
             rhs_accum += (h * a[i, j]) * fs[j]
         t_i = t_n + c[i] * h
-        y_p = solve_stage(model, t_i, y_n, h, a[i, i], rhs_accum)
+        y_p = solve_stage(model, t_i, y_n, h, a[i, i], rhs_accum, newton_matrix)
         y_i, f_i = y_p, None
         if diag is not None:
             y_i, f_i = _all_stage_correction(

@@ -577,3 +577,51 @@ def test_solver_config_eps_must_be_positive_and_finite(eps):
     # frozen, so a validated config cannot be changed afterwards
     with pytest.raises(dataclasses.FrozenInstanceError):
         SolverConfig().eps = eps
+
+
+def _count_calls(monkeypatch, name):
+    """Wrap ``sdirk.<name>`` so that each call is counted."""
+    real, calls = getattr(sdirk, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sdirk, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("method", ["sdirk21", "sdirk32"])
+def test_newton_stages_of_one_step_share_one_factored_matrix(monkeypatch, method):
+    # every stage of an SDIRK step has the same h*gamma, so one Jacobian
+    # and one factorization serve all its Newton stage solves
+    from pdint.problems import KdvConfig, kdv
+
+    model = kdv(KdvConfig(n_cells=64))
+    builds = _count_calls(monkeypatch, "_fd_jacobian")
+    factors = _count_calls(monkeypatch, "lu_factor")
+    config = SolverConfig(method=method, mode="fixed", h_fixed=0.35 / 128)
+    traj = integrate(model, config, 0.0, 0.35 / 128, model.y0)
+    assert traj.status == TrajectoryStatus.COMPLETED and traj.steps_accepted == 1
+    assert (len(builds), len(factors)) == (1, 1)
+
+
+def test_newton_stage_recovers_from_a_wrong_carried_matrix(monkeypatch):
+    from pdint.numerics import lu_factor
+    from pdint.problems import KdvConfig, kdv
+
+    model = kdv(KdvConfig(n_cells=64))
+    gamma, h = tableau("sdirk21").gamma, 0.05  # ||h*gamma*J|| = 1.2, so I is far off
+    y_n = model.y0
+    fresh = solve_stage(model, gamma * h, y_n, h, gamma, np.zeros(64))
+    builds = _count_calls(monkeypatch, "_fd_jacobian")
+    carried = [lu_factor(np.eye(64))]
+    y = solve_stage(model, gamma * h, y_n, h, gamma, np.zeros(64), carried)
+    assert len(builds) == 1, "the wrong matrix should have been rebuilt"
+    assert carried[0] is not None and not np.array_equal(carried[0][0], np.eye(64))
+    resid = y - y_n - h * gamma * eval_rhs(model, gamma * h, y)
+    scale = np.abs(y_n).max()
+    weights = sdirk._STAGE_TOL * (np.clip(model.y_scale, 1e-30, scale) + np.abs(y))
+    assert np.sqrt(np.mean((resid / weights) ** 2)) <= 1.0
+    assert np.max(np.abs(y - fresh)) <= 1e-10 * np.max(np.abs(fresh))
+
