@@ -32,8 +32,7 @@ def vector(entries) -> np.ndarray:
 
 
 def _check_pivots(lu: np.ndarray, info: int) -> None:
-    # an exactly zero pivot only sets info > 0; this test turns every
-    # near-singular factorization into a hard error
+    # info > 0 flags an exactly zero pivot, which the pivot test also catches
     if info < 0:
         raise ValueError(f"LAPACK: illegal value in argument {-info}")
     if np.abs(np.diagonal(lu)).min() < PIVOT_TOL:

@@ -286,11 +286,9 @@ def _newton_stage(model, t, rhs, h_aii, y_init, budget, atol_it, newton_matrix):
     once and its factors are reused while convergence is fast.  Steps
     backtrack whenever the weighted residual would grow.
 
-    ``newton_matrix`` is a one-element list holding the factors last used,
-    or None.  Factors found there are treated as stale: they are rebuilt at
-    the current iterate when they give no descent or slow convergence.  On
-    return the list holds the factors for the next stage with the same
-    h*a_ii.
+    ``newton_matrix`` is a one-element list holding factors to start from,
+    treated as stale (rebuilt when they stop giving fast descent), or None;
+    it is left holding the factors last used.
     """
     y = y_init.copy()
     f = eval_rhs(model, t, y)
@@ -340,7 +338,8 @@ def solve_stage(model, t_stage, y_n, h, a_ii, rhs_accum, newton_matrix=None):
     the corrector's M-matrix solve; a finite-difference Newton fallback
     takes over if the fixed point stops contracting.  H-form models go
     straight to Newton since their stage equation has no G*y structure.
-    ``newton_matrix`` carries Newton's factored
+    Should Newton fail, it is retried once from clip(y_n + rhs_accum) with
+    a freshly built matrix.  ``newton_matrix`` carries Newton's factored
     matrix between the stages of one step (see :func:`_newton_stage`).
 
     Both iterations stop on a per-component test: the weighted RMS norm
@@ -376,7 +375,17 @@ def solve_stage(model, t_stage, y_n, h, a_ii, rhs_accum, newton_matrix=None):
                 break  # no contraction, hand over to Newton
             prev = dn
     newton_matrix = [None] if newton_matrix is None else newton_matrix
-    return _newton_stage(model, t_stage, rhs, h_aii, y, _STAGE_MAX_ITER - used, atol_it, newton_matrix)
+    try:
+        return _newton_stage(
+            model, t_stage, rhs, h_aii, y, _STAGE_MAX_ITER - used, atol_it, newton_matrix
+        )
+    except StageConvergenceError:
+        # a poor start, such as a diverged Picard iterate, can leave Newton
+        # without a descent direction (Robertson, sdirk32 stage 3, h >= 100)
+        newton_matrix[0] = None
+        return _newton_stage(
+            model, t_stage, rhs, h_aii, clip(rhs), _STAGE_MAX_ITER, atol_it, newton_matrix
+        )
 
 
 def predictor_step(model, t_n, y_n, h, tab, eps=None, diag=None):

@@ -625,3 +625,18 @@ def test_newton_stage_recovers_from_a_wrong_carried_matrix(monkeypatch):
     assert np.sqrt(np.mean((resid / weights) ** 2)) <= 1.0
     assert np.max(np.abs(y - fresh)) <= 1e-10 * np.max(np.abs(fresh))
 
+
+@pytest.mark.parametrize("h", [100.0, 500.0, 1000.0, 2000.0])
+def test_robertson_sdirk32_large_fixed_steps_complete(h):
+    # a31 < 0 makes stage 3's right-hand side negative; Picard diverges and
+    # Newton from its last iterate finds no descent, so the stage solver
+    # restarts Newton from the clipped right-hand side
+    model = robertson()
+    for mode in ("none", "final", "all"):
+        config = SolverConfig(method="sdirk32", mode="fixed", h_fixed=h, correction=mode)
+        traj = integrate(model, config, 0.0, 1e4, model.y0)
+        assert traj.status == TrajectoryStatus.COMPLETED, (mode, traj.attempts[-1])
+        mass = traj.invariant_values["total_mass"]
+        assert np.max(np.abs(mass - mass[0])) <= 1e-12 * mass[0]
+        if mode != "none":
+            assert traj.min_component >= 0.0
