@@ -61,16 +61,16 @@ def lu_solve(a: np.ndarray, b: np.ndarray, overwrite_a: bool = False) -> np.ndar
     return x
 
 
-def lu_factor(a: np.ndarray, overwrite_a: bool = False) -> tuple:
+def lu_factor(a: np.ndarray) -> tuple:
     """Factor a square ``a`` once for many solves with :func:`lu_back_solve`.
 
-    Factors and solutions equal those of :func:`lu_solve` bit for bit, and
-    a singular ``a`` raises the same :class:`SingularMatrixError`.
+    A Fortran-ordered float ``a`` is factored in place.  Factors, solutions
+    and :class:`SingularMatrixError` match :func:`lu_solve` bit for bit.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
-    lu, piv, info = dgetrf(a, overwrite_a=overwrite_a)
+    lu, piv, info = dgetrf(a, overwrite_a=True)
     _check_pivots(lu, info)
     return lu, piv
 

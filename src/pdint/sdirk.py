@@ -279,28 +279,26 @@ def _fd_jacobian(model, t, y, f0):
     return jac
 
 
-def _newton_stage(model, t, rhs, h_aii, y_init, budget, atol_it, newton_matrix):
+def _newton_stage(model, t, rhs, h_aii, y_init, budget, atol_it, a_fact):
     """Damped modified Newton on Y - rhs - h*a_ii*f(t, Y) = 0.
 
     The Jacobian comes from finite differences; I - h*a_ii*J is factored
     once and its factors are reused while convergence is fast.  Steps
     backtrack whenever the weighted residual would grow.
 
-    ``newton_matrix`` is a one-element list holding factors to start from,
-    treated as stale (rebuilt when they stop giving fast descent), or None;
-    it is left holding the factors last used.
+    ``a_fact`` holds stale factors to start from, or is None; returns the
+    stage and the factors last used.
     """
     y = y_init.copy()
     f = eval_rhs(model, t, y)
     resid = y - rhs - h_aii * f
     rn = wrms_norm(resid, y, atol_it, _STAGE_TOL)
-    a_fact = newton_matrix[0]
     fresh = False
     for _ in range(budget):
         if rn <= 1.0:
             break
         if a_fact is None:
-            a_fact = lu_factor(identity_minus(h_aii, _fd_jacobian(model, t, y, f)), True)
+            a_fact = lu_factor(identity_minus(h_aii, _fd_jacobian(model, t, y, f)))
             fresh = True
         delta = lu_back_solve(a_fact, -resid)
         alpha = 1.0
@@ -326,8 +324,7 @@ def _newton_stage(model, t, rhs, h_aii, y_init, budget, atol_it, newton_matrix):
             a_fact = None
     if rn > 1.0:
         raise StageConvergenceError(f"stage iteration exceeded budget at t={t}")
-    newton_matrix[0] = a_fact
-    return y
+    return y, a_fact
 
 
 def solve_stage(model, t_stage, y_n, h, a_ii, rhs_accum, newton_matrix=None):
@@ -338,9 +335,10 @@ def solve_stage(model, t_stage, y_n, h, a_ii, rhs_accum, newton_matrix=None):
     the corrector's M-matrix solve; a finite-difference Newton fallback
     takes over if the fixed point stops contracting.  H-form models go
     straight to Newton since their stage equation has no G*y structure.
-    Should Newton fail, it is retried once from clip(y_n + rhs_accum) with
-    a freshly built matrix.  ``newton_matrix`` carries Newton's factored
-    matrix between the stages of one step (see :func:`_newton_stage`).
+    A failed Newton is retried once from clip(y_n + rhs_accum) with a fresh
+    matrix, unless that would repeat it.  ``newton_matrix``, a one-element
+    list from :func:`predictor_step`, carries Newton's factors between the
+    stages of one step; other callers leave it out.
 
     Both iterations stop on a per-component test: the weighted RMS norm
     of the update (Picard) or the residual (Newton), with weights
@@ -374,18 +372,20 @@ def solve_stage(model, t_stage, y_n, h, a_ii, rhs_accum, newton_matrix=None):
             if used >= 3 and dn > 0.9 * prev:
                 break  # no contraction, hand over to Newton
             prev = dn
-    newton_matrix = [None] if newton_matrix is None else newton_matrix
+    holder = [None] if newton_matrix is None else newton_matrix
     try:
-        return _newton_stage(
-            model, t_stage, rhs, h_aii, y, _STAGE_MAX_ITER - used, atol_it, newton_matrix
+        y, holder[0] = _newton_stage(
+            model, t_stage, rhs, h_aii, y, _STAGE_MAX_ITER - used, atol_it, holder[0]
         )
     except StageConvergenceError:
-        # a poor start, such as a diverged Picard iterate, can leave Newton
-        # without a descent direction (Robertson, sdirk32 stage 3, h >= 100)
-        newton_matrix[0] = None
-        return _newton_stage(
-            model, t_stage, rhs, h_aii, clip(rhs), _STAGE_MAX_ITER, atol_it, newton_matrix
+        # a diverged Picard start can leave Newton without descent (Robertson sdirk32)
+        start = clip(rhs)
+        if holder[0] is None and used == 0 and np.array_equal(start, rhs):
+            raise  # the restart would repeat the failed attempt
+        y, holder[0] = _newton_stage(
+            model, t_stage, rhs, h_aii, start, _STAGE_MAX_ITER, atol_it, None
         )
+    return y
 
 
 def predictor_step(model, t_n, y_n, h, tab, eps=None, diag=None):

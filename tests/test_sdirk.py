@@ -626,6 +626,21 @@ def test_newton_stage_recovers_from_a_wrong_carried_matrix(monkeypatch):
     assert np.max(np.abs(y - fresh)) <= 1e-10 * np.max(np.abs(fresh))
 
 
+def test_failed_newton_stage_is_not_repeated_from_the_same_start(monkeypatch):
+    # KdV's first stage starts Newton from y_n > 0 with no carried matrix,
+    # so a restart from clip(y_n) would only rebuild and fail the same way
+    from pdint.problems import KdvConfig, kdv
+
+    model = kdv(KdvConfig(n_cells=64))
+    gamma, h = tableau("sdirk21").gamma, 0.05
+    assert model.y0.min() > 0.0
+    monkeypatch.setattr(sdirk, "_STAGE_MAX_ITER", 1)  # too few iterations at this h
+    builds = _count_calls(monkeypatch, "_fd_jacobian")
+    with pytest.raises(StageConvergenceError):
+        solve_stage(model, gamma * h, model.y0, h, gamma, np.zeros(64))
+    assert len(builds) == 1
+
+
 @pytest.mark.parametrize("h", [100.0, 500.0, 1000.0, 2000.0])
 def test_robertson_sdirk32_large_fixed_steps_complete(h):
     # a31 < 0 makes stage 3's right-hand side negative; Picard diverges and

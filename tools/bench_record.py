@@ -1,15 +1,13 @@
 """Run the benchmark of two checkouts in alternating pairs and record every run.
 
 Usage: python tools/bench_record.py PARENT CHANGE --out BENCH_<n>.json
-           [--pairs 10] [--first-seed 1] [--workload NAME ...] [--seconds S]
+           [--pairs 10] [--first-seed 1]
 
 PARENT and CHANGE are checkout roots.  Each root runs its own
-``perfbench/run.py --trace 0`` on the workloads that BENCHMARK.json
-declares (or those named with ``--workload``), for ``run_seconds`` from
-BENCHMARK.json unless ``--seconds`` is given.  Pair k uses seed
-first-seed + k on both sides, and which side runs first alternates from
-one pair to the next, so that slow drift of the host's speed weighs on
-both sides alike.  The tool refuses to run when ``perfbench/`` or
+``perfbench/run.py --trace 0`` on every workload that BENCHMARK.json
+declares, for its ``run_seconds``.  Pair k uses seed first-seed + k on
+both sides, and which side runs first alternates from one pair to the
+next, so that slow drift of the host's speed weighs on both sides alike.  The tool refuses to run when ``perfbench/`` or
 BENCHMARK.json differ between the two roots, since then the two sides
 would not be measured alike.
 
@@ -100,8 +98,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--workload", action="append", help="default: every declared workload")
-    parser.add_argument("--seconds", type=float, help="default: run_seconds of BENCHMARK.json")
     args = parser.parse_args(argv)
 
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -111,8 +107,7 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 2
     declared = json.loads((roots["change"] / "BENCHMARK.json").read_text())
-    workloads = args.workload or [w["name"] for w in declared["workloads"]]
-    seconds = args.seconds if args.seconds is not None else float(declared["run_seconds"])
+    seconds = float(declared["run_seconds"])
 
     record = {
         "benchmark": declared["command"],
@@ -121,7 +116,7 @@ def main(argv=None) -> int:
         "src_sha256": {side: tree_digest(root, "src") for side, root in roots.items()},
         "workloads": {},
     }
-    for workload in workloads:
+    for workload in [w["name"] for w in declared["workloads"]]:
         runs = []
         entry = record["workloads"][workload] = {"runs": runs}
         for k in range(args.pairs):
