@@ -41,7 +41,6 @@ class GraphLaplacianModel:
     dim: int
     eval_G: Callable[[float, np.ndarray], np.ndarray]
     invariants: tuple[LinearInvariant, ...] = ()
-    strong_sign: bool = False
     label: str = ""
     y0: np.ndarray | None = None
     t0: float = 0.0

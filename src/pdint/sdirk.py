@@ -279,7 +279,7 @@ def _fd_jacobian(model, t, y, f0):
     return jac
 
 
-def _newton_stage(model, t, rhs, h_aii, y_init, budget, atol_it, a_fact):
+def _newton_stage(model, t, rhs, h_aii, y_init, atol_it, a_fact):
     """Damped modified Newton on Y - rhs - h*a_ii*f(t, Y) = 0.
 
     The Jacobian comes from finite differences; I - h*a_ii*J is factored
@@ -294,7 +294,7 @@ def _newton_stage(model, t, rhs, h_aii, y_init, budget, atol_it, a_fact):
     resid = y - rhs - h_aii * f
     rn = wrms_norm(resid, y, atol_it, _STAGE_TOL)
     fresh = False
-    for _ in range(budget):
+    for _ in range(_STAGE_MAX_ITER):
         if rn <= 1.0:
             break
         if a_fact is None:
@@ -327,7 +327,7 @@ def _newton_stage(model, t, rhs, h_aii, y_init, budget, atol_it, a_fact):
     return y, a_fact
 
 
-def solve_stage(model, t_stage, y_n, h, a_ii, rhs_accum, newton_matrix=None):
+def solve_stage(model, t_stage, y_n, h, a_ii, rhs_accum, newton_factors=None):
     """Solve one implicit stage Y = y_n + rhs_accum + h*a_ii*f(t, Y).
 
     Graph-Laplacian models use the frozen-matrix fixed point
@@ -335,10 +335,11 @@ def solve_stage(model, t_stage, y_n, h, a_ii, rhs_accum, newton_matrix=None):
     the corrector's M-matrix solve; a finite-difference Newton fallback
     takes over if the fixed point stops contracting.  H-form models go
     straight to Newton since their stage equation has no G*y structure.
-    A failed Newton is retried once from clip(y_n + rhs_accum) with a fresh
-    matrix, unless that would repeat it.  ``newton_matrix``, a one-element
-    list from :func:`predictor_step`, carries Newton's factors between the
-    stages of one step; other callers leave it out.
+    Picard allows ``_STAGE_MAX_ITER // 2`` iterations, Newton
+    ``_STAGE_MAX_ITER`` per start.  A failed Newton is retried once from
+    clip(y_n + rhs_accum) with a fresh matrix, unless that would repeat it.
+    Returns ``(Y, factors)``: Newton's factored I - h*a_ii*J, which the
+    next stage of the step takes as ``newton_factors`` (same h*a_ii).
 
     Both iterations stop on a per-component test: the weighted RMS norm
     of the update (Picard) or the residual (Newton), with weights
@@ -352,40 +353,33 @@ def solve_stage(model, t_stage, y_n, h, a_ii, rhs_accum, newton_matrix=None):
     y_n = np.asarray(y_n, dtype=float)
     rhs = y_n + rhs_accum
     if a_ii == 0.0:
-        return rhs
+        return rhs, newton_factors
     scale = max(np.max(np.abs(y_n)), np.max(np.abs(rhs)), _TINY)
     atol_it = _STAGE_TOL * np.clip(model.y_scale, _TINY, scale)
     h_aii = h * a_ii
-    y, used = rhs, 0
+    y = rhs
     if model.multiplicand_is_state:
         eye = np.eye(y_n.size)
         y = y_n.copy()
         prev = math.inf
-        for _ in range(max(1, _STAGE_MAX_ITER // 2)):
+        for k in range(_STAGE_MAX_ITER // 2):
             g = model.matrix(t_stage, y)
             y_new = lu_solve(eye - h_aii * g, rhs)
             dn = wrms_norm(y_new - y, y_new, atol_it, _STAGE_TOL)
             y = y_new
-            used += 1
             if dn <= 1.0:
-                return y
-            if used >= 3 and dn > 0.9 * prev:
+                return y, newton_factors
+            if k >= 2 and dn > 0.9 * prev:
                 break  # no contraction, hand over to Newton
             prev = dn
-    holder = [None] if newton_matrix is None else newton_matrix
     try:
-        y, holder[0] = _newton_stage(
-            model, t_stage, rhs, h_aii, y, _STAGE_MAX_ITER - used, atol_it, holder[0]
-        )
+        return _newton_stage(model, t_stage, rhs, h_aii, y, atol_it, newton_factors)
     except StageConvergenceError:
         # a diverged Picard start can leave Newton without descent (Robertson sdirk32)
         start = clip(rhs)
-        if holder[0] is None and used == 0 and np.array_equal(start, rhs):
+        if newton_factors is None and np.array_equal(start, y):
             raise  # the restart would repeat the failed attempt
-        y, holder[0] = _newton_stage(
-            model, t_stage, rhs, h_aii, start, _STAGE_MAX_ITER, atol_it, None
-        )
-    return y
+        return _newton_stage(model, t_stage, rhs, h_aii, start, atol_it, None)
 
 
 def predictor_step(model, t_n, y_n, h, tab, eps=None, diag=None):
@@ -402,13 +396,13 @@ def predictor_step(model, t_n, y_n, h, tab, eps=None, diag=None):
     """
     a, c = tab.A, tab.c
     stages, fs, mats = [], [], []
-    newton_matrix = [None]  # every stage of the step has the same h*gamma
+    factors = None  # every stage of the step has the same h*gamma
     for i in range(tab.s):
         rhs_accum = np.zeros_like(y_n)
         for j in range(i):
             rhs_accum += (h * a[i, j]) * fs[j]
         t_i = t_n + c[i] * h
-        y_p = solve_stage(model, t_i, y_n, h, a[i, i], rhs_accum, newton_matrix)
+        y_p, factors = solve_stage(model, t_i, y_n, h, a[i, i], rhs_accum, factors)
         y_i, f_i = y_p, None
         if diag is not None:
             y_i, f_i = _all_stage_correction(
@@ -425,17 +419,12 @@ def predictor_step(model, t_n, y_n, h, tab, eps=None, diag=None):
     return stages, y_pred, y_hat
 
 
-def _matrix_argument(model, y):
-    """Clipped stage, unless a graph-Laplacian model keeps its sign pattern everywhere."""
-    return y if model.multiplicand_is_state and model.strong_sign else clip(y)
-
-
 def _final_stage_correction(model, t_n, y_n, h, tab, stages, y_pred, eps):
     diag = CorrectionDiagnostics()
     mats = []
     for i, y_i in enumerate(stages):
         diag.absorb_negatives(y_i)
-        mats.append(model.matrix(t_n + tab.c[i] * h, _matrix_argument(model, y_i)))
+        mats.append(model.matrix(t_n + tab.c[i] * h, clip(y_i)))
     sigmas = [ratio_scaling(model.multiplicand(y_i), y_pred, eps) for y_i in stages]
     y_raw = corrector_solve(y_n, h, averaged_g_final(tab.b, mats, sigmas))
     diag.absorb_negatives(y_raw)
@@ -449,7 +438,7 @@ def _all_stage_correction(model, t_i, y_n, h, a_row, y_p, stages, mats, eps, dia
     slope; its matrix is then appended to ``mats`` for them to read.
     """
     diag.absorb_negatives(y_p)
-    m_diag = model.matrix(t_i, _matrix_argument(model, y_p))
+    m_diag = model.matrix(t_i, clip(y_p))
     # a graph-Laplacian diagonal term multiplies the predicted stage itself
     ones = np.ones_like(y_p)
     sig_diag = ones if model.multiplicand_is_state else ratio_scaling(ones, y_p, eps)

@@ -529,7 +529,7 @@ def test_criterion_7_property_suites():
         )
         h = 10.0 ** rng.uniform(-5, -2)
         rhs_accum = np.zeros(3)
-        y = solve_stage(rob, 0.0, y_n, h, gamma, rhs_accum)
+        y, _ = solve_stage(rob, 0.0, y_n, h, gamma, rhs_accum)
         y_oracle = _newton_oracle(rob, 0.0, y_n, h, gamma, rhs_accum)
         assert np.max(np.abs(y - y_oracle)) <= 1e-10 * (1.0 + np.max(np.abs(y_oracle)))
     details.append("stage oracle x50")

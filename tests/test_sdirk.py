@@ -115,7 +115,7 @@ def test_solve_stage_constant_matrix_single_solve():
     model, g = linear_exchange()
     y_n = np.array([0.8, 0.4])
     h, a_ii = 0.3, 0.25
-    y = solve_stage(model, 0.0, y_n, h, a_ii, np.zeros(2))
+    y, _ = solve_stage(model, 0.0, y_n, h, a_ii, np.zeros(2))
     expected = np.linalg.solve(np.eye(2) - h * a_ii * g, y_n)
     assert np.allclose(y, expected, rtol=0, atol=1e-14)
 
@@ -123,7 +123,7 @@ def test_solve_stage_constant_matrix_single_solve():
 def test_solve_stage_explicit_when_diagonal_zero():
     model, _ = linear_exchange()
     rhs_accum = np.array([0.1, -0.05])
-    y = solve_stage(model, 0.0, np.array([1.0, 2.0]), 0.5, 0.0, rhs_accum)
+    y, _ = solve_stage(model, 0.0, np.array([1.0, 2.0]), 0.5, 0.0, rhs_accum)
     assert np.array_equal(y, [1.1, 1.95])
 
 
@@ -155,7 +155,7 @@ def test_solve_stage_matches_newton_oracle_on_robertson():
     for _ in range(10):
         y_n = np.array([rng.uniform(0.1, 1.0), rng.uniform(0.0, 1e-4), rng.uniform(0.0, 0.5)])
         h = 10.0 ** rng.uniform(-5, -2)
-        y = solve_stage(model, 0.0, y_n, h, gamma, np.zeros(3))
+        y, _ = solve_stage(model, 0.0, y_n, h, gamma, np.zeros(3))
         y_oracle = newton_stage_oracle(model, 0.0, y_n, h, gamma, np.zeros(3))
         assert np.max(np.abs(y - y_oracle)) <= 1e-10 * (1.0 + np.max(np.abs(y_oracle)))
 
@@ -167,7 +167,7 @@ def test_solve_stage_converges_every_component_of_a_badly_scaled_system(h):
     model = stratospheric()
     gamma = tableau("sdirk21").gamma
     t = model.t0 + gamma * h
-    y = solve_stage(model, t, model.y0, h, gamma, np.zeros(6))
+    y, _ = solve_stage(model, t, model.y0, h, gamma, np.zeros(6))
     resid = y - model.y0 - h * gamma * eval_rhs(model, t, y)
     assert np.all(np.abs(resid) <= 1e-8 * np.abs(y))
 
@@ -336,27 +336,6 @@ def test_ratio_scaling_floor_reaches_the_corrector(mode):
     assert np.array_equal(a.times, b.times)
     assert 1e-6 < np.max(np.abs(a.states[-1] - b.states[-1])) < 1e-5
     assert b.min_component >= 0.0
-
-
-def test_strong_sign_model_skips_stage_clipping():
-    # constant-matrix models satisfy the sign pattern for any argument,
-    # so clipped and unclipped stage evaluations must agree exactly
-    g = np.array([[-1.0, 0.5], [1.0, -0.5]])
-    base = GraphLaplacianModel(
-        dim=2, eval_G=lambda t, y: g,
-        invariants=(LinearInvariant(np.ones(2), True, "mass"),),
-    )
-    strong = GraphLaplacianModel(
-        dim=2, eval_G=lambda t, y: g, strong_sign=True,
-        invariants=(LinearInvariant(np.ones(2), True, "mass"),),
-    )
-    y_n = np.array([1.0, 0.0])
-    cfg = SolverConfig(method="sdirk21", correction="final")
-    tab = tableau("sdirk21")
-    a = corrected_step(base, 0.0, y_n, 0.4, tab, cfg)
-    b = corrected_step(strong, 0.0, y_n, 0.4, tab, cfg)
-    assert np.array_equal(a.y_corrected, b.y_corrected)
-    assert b.y_corrected.min() >= 0.0
 
 
 def test_all_stages_requires_stiffly_accurate():
@@ -613,12 +592,11 @@ def test_newton_stage_recovers_from_a_wrong_carried_matrix(monkeypatch):
     model = kdv(KdvConfig(n_cells=64))
     gamma, h = tableau("sdirk21").gamma, 0.05  # ||h*gamma*J|| = 1.2, so I is far off
     y_n = model.y0
-    fresh = solve_stage(model, gamma * h, y_n, h, gamma, np.zeros(64))
+    fresh, _ = solve_stage(model, gamma * h, y_n, h, gamma, np.zeros(64))
     builds = _count_calls(monkeypatch, "_fd_jacobian")
-    carried = [lu_factor(np.eye(64))]
-    y = solve_stage(model, gamma * h, y_n, h, gamma, np.zeros(64), carried)
+    y, factors = solve_stage(model, gamma * h, y_n, h, gamma, np.zeros(64), lu_factor(np.eye(64)))
     assert len(builds) == 1, "the wrong matrix should have been rebuilt"
-    assert carried[0] is not None and not np.array_equal(carried[0][0], np.eye(64))
+    assert factors is not None and not np.array_equal(factors[0], np.eye(64))
     resid = y - y_n - h * gamma * eval_rhs(model, gamma * h, y)
     scale = np.abs(y_n).max()
     weights = sdirk._STAGE_TOL * (np.clip(model.y_scale, 1e-30, scale) + np.abs(y))
