@@ -58,7 +58,7 @@ def ratio_scaling(numer: np.ndarray, denom: np.ndarray, eps: float) -> np.ndarra
     denom = np.asarray(denom, dtype=float)
     if numer.shape != denom.shape:
         raise ValueError(f"dimension mismatch: {numer.shape} vs {denom.shape}")
-    if eps <= 0.0:
+    if not eps > 0.0:  # NaN fails too
         raise ValueError("eps must be positive")
     return np.maximum(numer, 0.0) / np.maximum(denom, eps)
 

@@ -106,9 +106,9 @@ def wrms_norm(
     y_ref = np.asarray(y_ref, dtype=float)
     if delta.shape != y_ref.shape:
         raise ValueError(f"dimension mismatch: {delta.shape} vs {y_ref.shape}")
-    if (atol.min() if isinstance(atol, np.ndarray) else atol) <= 0.0:
+    if not (atol.min() if isinstance(atol, np.ndarray) else atol) > 0.0:  # NaN fails too
         raise ValueError("atol must be positive")
-    if rtol < 0.0:
+    if not rtol >= 0.0:
         raise ValueError("rtol must be nonnegative")
     w = atol + rtol * np.abs(y_ref)
     return float(np.sqrt(np.mean((delta / w) ** 2)))

@@ -95,20 +95,20 @@ class StructureReport:
 
 
 def validate_sign_structure(m: np.ndarray, tol: float) -> StructureReport:
-    """Report diagonal entries above tol and off-diagonal entries below -tol."""
+    """Report diagonal entries above tol, off-diagonal ones below -tol, and NaN entries."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
-    if tol < 0.0:
+    if not tol >= 0.0:
         raise ValueError("tol must be nonnegative")
     report = StructureReport(samples_checked=1)
     d = m.shape[0]
     for i in range(d):
-        if m[i, i] > tol:
+        if not m[i, i] <= tol:
             report.sign_violations.append((i, i, float(m[i, i])))
     off = m.copy()
     np.fill_diagonal(off, 0.0)
-    for i, j in zip(*np.nonzero(off < -tol)):
+    for i, j in zip(*np.nonzero(~(off >= -tol))):
         report.sign_violations.append((int(i), int(j), float(m[i, j])))
     return report
 
@@ -178,7 +178,7 @@ def validate_model(
     sign_tol: float = 0.0,
     t_span: tuple[float, float] | None = None,
 ) -> StructureReport:
-    """Check sign structure and declared exact invariants at sampled states."""
+    """Check sign structure and declared exact invariants; NaN entries fail both."""
     rng = rng or np.random.default_rng(0)
     states = sample_states(model, n_samples, rng)
     if t_span is None:
@@ -188,13 +188,14 @@ def validate_model(
     for t, y in zip(times, states):
         m = model.matrix(t, y)
         norm = np.max(np.abs(m))
-        sub = validate_sign_structure(m, sign_tol * max(norm, 1e-300))
+        norm = norm if 1e-300 < norm < np.inf else 1e-300  # also for a NaN or Inf entry
+        sub = validate_sign_structure(m, sign_tol * norm)
         report.sign_violations.extend(sub.sign_violations)
         for k, inv in enumerate(model.invariants):
             if not inv.exact:
                 continue
             resid = validate_left_kernel(m, inv.w)
-            bound = KERNEL_RTOL * max(norm, 1e-300) * np.max(np.abs(inv.w))
-            if resid > bound:
+            bound = KERNEL_RTOL * norm * np.max(np.abs(inv.w))
+            if not resid <= bound:
                 report.kernel_residuals.append((k, float(resid)))
     return report

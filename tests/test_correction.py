@@ -42,6 +42,12 @@ def test_ratio_scaling_examples():
     assert s[0] == pytest.approx(0.05)
 
 
+@pytest.mark.parametrize("eps", [0.0, -1.0, np.nan])
+def test_ratio_scaling_rejects_a_floor_that_is_not_positive(eps):
+    with pytest.raises(ValueError):
+        ratio_scaling(np.ones(2), np.ones(2), eps)
+
+
 def test_ratio_scaling_nonnegative():
     rng = np.random.default_rng(5)
     for _ in range(200):

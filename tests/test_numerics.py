@@ -134,6 +134,16 @@ def test_wrms_validation():
         wrms_norm(np.zeros(2), np.zeros(2), np.array([1e-6, 0.0]), 0.0)
 
 
+@pytest.mark.parametrize(
+    "atol,rtol",
+    [(np.nan, 0.0), (np.array([1e-6, np.nan]), 0.0), (np.array([np.nan, 1e-6]), 0.0), (1e-6, np.nan)],
+    ids=["atol", "atol-entry-1", "atol-entry-0", "rtol"],
+)
+def test_wrms_rejects_nan_tolerances(atol, rtol):
+    with pytest.raises(ValueError):
+        wrms_norm(np.ones(2), np.ones(2), atol, rtol)
+
+
 def test_wrms_per_component_atol():
     delta = np.array([1e-10, 1e-2])
     atol = np.array([1e-10, 1e-2])

@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from pdint.pds import (
+    GraphLaplacianModel,
+    LinearInvariant,
     assemble_g_from_rates,
     assemble_h_from_destruction,
     invariant_error,
     validate_left_kernel,
+    validate_model,
     validate_sign_structure,
 )
 
@@ -23,6 +26,39 @@ def test_sign_structure_positive_diagonal():
 def test_sign_structure_negative_offdiagonal():
     report = validate_sign_structure(np.array([[-1.0, -0.5], [0.5, 0.0]]), 0.1)
     assert report.sign_violations == [(0, 1, -0.5)]
+
+
+@pytest.mark.parametrize("tol", [-1.0, np.nan])
+def test_sign_structure_rejects_a_tolerance_that_is_not_nonnegative(tol):
+    with pytest.raises(ValueError):
+        validate_sign_structure(np.eye(2), tol)
+
+
+@pytest.mark.parametrize("where", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+def test_sign_structure_reports_a_nan_entry(where):
+    m = np.array([[-1.0, 2.0], [3.0, -4.0]])
+    m[where] = np.nan
+    report = validate_sign_structure(m, 0.0)
+    assert [v[:2] for v in report.sign_violations] == [where]
+
+
+def _exchange_model(eval_G):
+    mass = LinearInvariant(np.ones(2), exact=True, label="mass")
+    return GraphLaplacianModel(dim=2, eval_G=eval_G, invariants=(mass,))
+
+
+def test_validate_model_fails_a_nan_matrix():
+    report = validate_model(_exchange_model(lambda t, y: np.full((2, 2), np.nan)), n_samples=3)
+    assert not report.ok
+    assert len(report.sign_violations) == 3 * 4
+    assert len(report.kernel_residuals) == 3
+
+
+def test_validate_model_rejects_a_nan_sign_tolerance():
+    model = _exchange_model(lambda t, y: assemble_g_from_rates(np.array([[0.0, 1.0], [2.0, 0.0]])))
+    assert validate_model(model, n_samples=3).ok
+    with pytest.raises(ValueError):
+        validate_model(model, n_samples=3, sign_tol=np.nan)
 
 
 def test_left_kernel_zero_column_sums():
