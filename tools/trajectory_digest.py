@@ -2,7 +2,7 @@
 
 Usage: python tools/trajectory_digest.py [ROOT]
 
-Runs a fixed set of 43 integrations against ROOT/src (default: the
+Runs a fixed set of 147 integrations against ROOT/src (default: the
 checkout holding this script) in a child process with BLAS pinned to
 one thread, and prints one sha256 per run over the trajectory's
 ``times``, ``states``, ``min_components``, ``h_used``, ``clip_counts``,
@@ -15,7 +15,11 @@ The set: Robertson [0, 5000], MAPK alpha=1 [0, 20] and stratospheric
 h = 2000 on [0, 1e4] and KdV 64 cells with 8 fixed steps of 0.35/128 x
 sdirk21/32 x none/final/all; the positivity-guard runs KdV 64 cells
 [0, 0.35] from h0 = 0.0035 and stratospheric [12 h, 36 h] with final
-correction; and two runs of ``pdint.cli.main`` with ``--eps``.
+correction; two runs of ``pdint.cli.main`` with ``--eps``; and every
+case of the benchmark workloads in ``perfbench/workloads.py`` for seed
+``WORKLOAD_SEED`` (104 runs).  The workload cases are read from the
+checkout holding this script, so both sides of a diff run the same
+inputs.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ METHODS = ("sdirk21", "sdirk32", "sdirk43")
 MODES = ("none", "final", "all")
 HOUR = 3600.0
 KDV_H = 0.35 / 128
+WORKLOAD_SEED = 1
 
 
 def library_runs():
@@ -114,14 +119,20 @@ def digest_all() -> None:
                 rc = cli.main(["integrate", *args, "--out", str(Path(tmp) / "out.csv")])
             print(f"{trajectory_digest(captured.pop())}  {label} (exit {rc})", flush=True)
 
+    import workloads
+
+    for name, pool in workloads.WORKLOADS.items():
+        for case in pool(WORKLOAD_SEED):
+            traj = integrate(case.model, case.config(), *case.span, case.y0)
+            print(f"{trajectory_digest(traj)}  {name} {case.label}", flush=True)
+
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     root = Path(argv[0] if argv else Path(__file__).resolve().parents[1]).resolve()
-    here = str(Path(__file__).resolve().parent)
-    env = dict(
-        os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join([str(root / "src"), here])
-    )
+    here = Path(__file__).resolve().parent
+    path = [str(root / "src"), str(here), str(here.parent / "perfbench")]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(path))
     code = "import trajectory_digest; trajectory_digest.digest_all()"
     return subprocess.run([sys.executable, "-c", code], env=env).returncode
 
