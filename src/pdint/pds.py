@@ -87,7 +87,6 @@ class StructureReport:
 
     sign_violations: list = field(default_factory=list)
     kernel_residuals: list = field(default_factory=list)
-    samples_checked: int = 0
 
     @property
     def ok(self) -> bool:
@@ -101,7 +100,7 @@ def validate_sign_structure(m: np.ndarray, tol: float) -> StructureReport:
         raise ValueError("matrix must be square")
     if not tol >= 0.0:
         raise ValueError("tol must be nonnegative")
-    report = StructureReport(samples_checked=1)
+    report = StructureReport()
     d = m.shape[0]
     for i in range(d):
         if not m[i, i] <= tol:
@@ -126,26 +125,20 @@ def assemble_g_from_rates(rates: np.ndarray) -> np.ndarray:
     """Build G = L^T - diag(L @ 1) from a nonnegative transition-rate matrix L.
 
     Column sums of the result vanish by construction and the sign pattern
-    (nonpositive diagonal, nonnegative off-diagonal) holds.
+    (nonpositive diagonal, nonnegative off-diagonal) holds.  An H-form
+    model's destruction matrix D gives H = D^T - diag(D @ 1) the same way.
     """
     rates = np.asarray(rates, dtype=float)
     if rates.ndim != 2 or rates.shape[0] != rates.shape[1]:
         raise ValueError("rate matrix must be square")
     if np.any(rates < 0.0):
         raise ValueError("transition rates must be nonnegative")
-    return rates.T - np.diag(rates.sum(axis=1))
+    g = rates.T.copy()
+    g.flat[:: g.shape[0] + 1] -= rates.sum(axis=1)
+    return g
 
 
-def assemble_h_from_destruction(dest: np.ndarray) -> np.ndarray:
-    """Build H = D^T - diag(D @ 1) from a nonnegative destruction-rate matrix."""
-    dest = np.asarray(dest, dtype=float)
-    if dest.ndim != 2 or dest.shape[0] != dest.shape[1]:
-        raise ValueError("destruction matrix must be square")
-    if np.any(dest < 0.0):
-        raise ValueError("destruction rates must be nonnegative")
-    h = dest.T.copy()
-    h.flat[:: h.shape[0] + 1] -= dest.sum(axis=1)
-    return h
+assemble_h_from_destruction = assemble_g_from_rates
 
 
 def invariant_error(trajectory, w: np.ndarray) -> float:
@@ -184,7 +177,7 @@ def validate_model(
     if t_span is None:
         t_span = (model.t0, model.t0 + 1.0)
     times = rng.uniform(t_span[0], t_span[1], size=n_samples)
-    report = StructureReport(samples_checked=n_samples)
+    report = StructureReport()
     for t, y in zip(times, states):
         m = model.matrix(t, y)
         norm = np.max(np.abs(m))

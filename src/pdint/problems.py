@@ -9,7 +9,7 @@ finite-volume discretization of the KdV equation in H-form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -247,15 +247,7 @@ _REGISTRY = {
     "stratospheric": (stratospheric, {}),
     "kdv": (
         lambda **kw: kdv(KdvConfig(**kw)),
-        {
-            "n_cells": int,
-            "x_lo": float,
-            "x_hi": float,
-            "alpha": float,
-            "rho": float,
-            "nu": float,
-            "shift": float,
-        },
+        {f.name: type(f.default) for f in fields(KdvConfig)},
     ),
 }
 

@@ -496,10 +496,12 @@ def integrate(model, config: SolverConfig, t0: float, tf: float, y0) -> Trajecto
     retried with half the step, with controller growth suspended until
     a step is accepted.  A failed solve also halves the step.  The run
     ends ``step_too_small`` once the step falls below
-    ``1e4 * machine_epsilon * max(|t0|, |tf|)``.
+    ``1e4 * machine_epsilon * max(|t0|, |tf|)``; a span not above that
+    floor is a ``ConfigurationError``.
     """
-    if not (math.isfinite(t0) and math.isfinite(tf) and t0 < tf):
-        raise ConfigurationError("t0 and tf must be finite with tf > t0")
+    h_min = 1e4 * np.finfo(float).eps * max(abs(t0), abs(tf))  # also the end tolerance
+    if not (math.isfinite(t0) and math.isfinite(tf) and tf - t0 > h_min):
+        raise ConfigurationError(f"t0 and tf must be finite with tf - t0 > step floor {h_min:g}")
     tab = config.resolve_tableau()
     y = vector(y0).copy()
     if y.size != model.dim:
@@ -509,7 +511,6 @@ def integrate(model, config: SolverConfig, t0: float, tf: float, y0) -> Trajecto
         raise ConfigurationError("y0 must be nonnegative when correction is enabled")
 
     span = tf - t0
-    h_min = 1e4 * np.finfo(float).eps * max(abs(t0), abs(tf))
     fixed = config.mode == "fixed"
     if fixed:
         n_steps = max(1, math.ceil(span / config.h_fixed - 1e-12))
@@ -521,7 +522,7 @@ def integrate(model, config: SolverConfig, t0: float, tf: float, y0) -> Trajecto
     status = TrajectoryStatus.COMPLETED
     growth_locked = False
     t = t0
-    while tf - t > h_min:  # the step floor is also the end tolerance
+    while tf - t > h_min:
         if len(attempts) >= _MAX_ATTEMPTS:
             status = TrajectoryStatus.SOLVER_FAILURE
             break

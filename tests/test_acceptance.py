@@ -13,7 +13,6 @@ import time
 
 import numpy as np
 import pytest
-import scipy.linalg
 from scipy.integrate import solve_ivp
 
 from pdint.correction import CorrectionMode, clip
@@ -453,7 +452,7 @@ def test_criterion_6_stratospheric_collapse():
     )
 
 
-def test_criterion_7_property_suites():
+def test_criterion_7_property_suites(newton_stage_oracle):
     rng = np.random.default_rng(2024)
     details = []
 
@@ -530,31 +529,11 @@ def test_criterion_7_property_suites():
         h = 10.0 ** rng.uniform(-5, -2)
         rhs_accum = np.zeros(3)
         y, _ = solve_stage(rob, 0.0, y_n, h, gamma, rhs_accum)
-        y_oracle = _newton_oracle(rob, 0.0, y_n, h, gamma, rhs_accum)
+        y_oracle = newton_stage_oracle(rob, 0.0, y_n, h, gamma, rhs_accum)
         assert np.max(np.abs(y - y_oracle)) <= 1e-10 * (1.0 + np.max(np.abs(y_oracle)))
     details.append("stage oracle x50")
 
     assert report("criterion 7: property suites", True, "; ".join(details))
-
-
-def _newton_oracle(model, t, y_n, h, a_ii, rhs_accum):
-    y = y_n + rhs_accum
-    d = y.size
-    sq = math.sqrt(np.finfo(float).eps)
-    for _ in range(100):
-        f = eval_rhs(model, t, y)
-        resid = y - y_n - rhs_accum - h * a_ii * f
-        jac = np.empty((d, d))
-        for j in range(d):
-            dy = sq * max(abs(y[j]), 1e-8)
-            yp = y.copy()
-            yp[j] += dy
-            jac[:, j] = (eval_rhs(model, t, yp) - f) / dy
-        delta = scipy.linalg.solve(np.eye(d) - h * a_ii * jac, -resid)
-        y = y + delta
-        if np.max(np.abs(delta)) <= 1e-14 * (1.0 + np.max(np.abs(y))):
-            return y
-    raise RuntimeError("oracle failed to converge")
 
 
 def pinned_trace_model():

@@ -1,21 +1,41 @@
-"""Property test of one corrected step over random graph-Laplacian models.
+"""Property tests of one corrected step over random graph-Laplacian and H-form models.
 
 Hypothesis draws the model, the state, the step size, the tableau and
 the correction mode; ``derandomize=True`` makes every run draw the same
-examples, so the test is deterministic.
+examples, so the tests are deterministic.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pdint.correction import CorrectionDiagnostics, CorrectionMode, clip
 from pdint.numerics import SingularMatrixError
-from pdint.pds import GraphLaplacianModel, LinearInvariant, assemble_g_from_rates
-from pdint.sdirk import SolverConfig, StageConvergenceError, corrected_step, tableau
+from pdint.pds import (
+    GraphLaplacianModel,
+    HFormModel,
+    LinearInvariant,
+    assemble_g_from_rates,
+    assemble_h_from_destruction,
+)
+from pdint.sdirk import (
+    SolverConfig,
+    StageConvergenceError,
+    corrected_step,
+    predictor_step,
+    tableau,
+)
 
 # mass drift past h*max|G| ~ 1e4 grows like eps*h*|G| in the corrector's LU
 # solve (CHANGES.md, FOUND), so the 1e-12 bound is asserted below this reach
 MASS_REACH = 1e3
+
+# donor weights of an H-form destruction rate, zero wherever the donor is not positive
+DONOR_WEIGHTS = (
+    lambda y: np.maximum(y, 0.0),
+    lambda y: np.maximum(y, 0.0) / (1.0 + y * y),
+    lambda y: np.maximum(y, 0.0) ** 2,
+)
 
 
 def _rate():
@@ -29,17 +49,22 @@ def _level():
 
 
 @st.composite
-def steps(draw):
+def steps(draw, h_form=False):
     d = draw(st.integers(2, 6))
     rates = np.array(draw(st.lists(_rate(), min_size=d * d, max_size=d * d))).reshape(d, d)
     np.fill_diagonal(rates, 0.0)
-    if draw(st.booleans()):  # donor-dependent rates, positive for any real state
-        eval_G = lambda t, y: assemble_g_from_rates(rates / (1.0 + y * y)[:, None])
-    else:
-        g = assemble_g_from_rates(rates)
-        eval_G = lambda t, y: g
     mass = LinearInvariant(np.ones(d), exact=True, label="mass")
-    model = GraphLaplacianModel(dim=d, eval_G=eval_G, invariants=(mass,))
+    if h_form:
+        weight = draw(st.sampled_from(DONOR_WEIGHTS))
+        eval_H = lambda y: assemble_h_from_destruction(rates * weight(y)[:, None])
+        model = HFormModel(dim=d, eval_H=eval_H, invariants=(mass,))
+    else:
+        if draw(st.booleans()):  # donor-dependent rates, positive for any real state
+            eval_G = lambda t, y: assemble_g_from_rates(rates / (1.0 + y * y)[:, None])
+        else:
+            g = assemble_g_from_rates(rates)
+            eval_G = lambda t, y: g
+        model = GraphLaplacianModel(dim=d, eval_G=eval_G, invariants=(mass,))
     y_n = np.array(draw(st.lists(_level(), min_size=d, max_size=d).filter(lambda v: max(v) > 0.0)))
     h = 10.0 ** draw(st.floats(-8.0, 8.0))
     method = draw(st.sampled_from(["sdirk21", "sdirk32", "sdirk43"]))
@@ -47,16 +72,45 @@ def steps(draw):
     return model, y_n, h, method, mode
 
 
-@settings(max_examples=300, derandomize=True, deadline=None, database=None)
-@given(steps())
-def test_corrected_step_is_nonnegative_and_conserves_mass(step):
-    model, y_n, h, method, mode = step
+def _corrected(model, y_n, h, method, mode):
+    """The corrected state, checked finite and nonnegative, or None after a stage failure."""
     config = SolverConfig(method=method, correction=mode)
     try:
         out = corrected_step(model, 0.0, y_n, h, tableau(method), config)
     except (StageConvergenceError, SingularMatrixError):
-        return  # integrate halves the step; no other exception may escape
+        return None  # integrate halves the step; no other exception may escape
     y = out.y_corrected
     assert np.all(np.isfinite(y)) and y.min() >= 0.0
-    if h * np.abs(model.matrix(0.0, y_n)).max() <= MASS_REACH:
+    return y
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(steps())
+def test_corrected_step_is_nonnegative_and_conserves_mass(step):
+    model, y_n, h, method, mode = step
+    y = _corrected(model, y_n, h, method, mode)
+    if y is not None and h * np.abs(model.matrix(0.0, y_n)).max() <= MASS_REACH:
+        assert abs(y.sum() - y_n.sum()) <= 1e-12 * y_n.sum()
+
+
+def _stage_reach(model, y_n, h, method, mode):
+    """h * max_j max|H(clip Y_j)| / max(min_j min clip(Y_j), eps) over the step's stages.
+
+    The ratio scaling divides by the clipped stages, so a small stage
+    component weighs in the corrector's averaged matrix like a large H.
+    """
+    eps = SolverConfig.eps
+    diag = CorrectionDiagnostics() if mode == CorrectionMode.ALL else None
+    stages, _, _ = predictor_step(model, 0.0, y_n, h, tableau(method), eps, diag)
+    clipped = [clip(y) for y in stages]
+    size = max(np.abs(model.matrix(0.0, y)).max() for y in clipped)
+    return h * size / max(min(y.min() for y in clipped), eps)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(steps(h_form=True))
+def test_h_form_corrected_step_is_nonnegative_and_conserves_mass(step):
+    model, y_n, h, method, mode = step
+    y = _corrected(model, y_n, h, method, mode)
+    if y is not None and _stage_reach(model, y_n, h, method, mode) <= MASS_REACH:
         assert abs(y.sum() - y_n.sum()) <= 1e-12 * y_n.sum()

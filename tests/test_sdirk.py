@@ -127,28 +127,7 @@ def test_solve_stage_explicit_when_diagonal_zero():
     assert np.array_equal(y, [1.1, 1.95])
 
 
-def newton_stage_oracle(model, t, y_n, h, a_ii, rhs_accum):
-    """Independent dense-Newton solve of the stage equation."""
-    y = y_n + rhs_accum
-    d = y.size
-    for _ in range(100):
-        f = eval_rhs(model, t, y)
-        resid = y - y_n - rhs_accum - h * a_ii * f
-        eps = math.sqrt(np.finfo(float).eps)
-        jac = np.empty((d, d))
-        for j in range(d):
-            dy = eps * max(abs(y[j]), 1e-8)
-            yp = y.copy()
-            yp[j] += dy
-            jac[:, j] = (eval_rhs(model, t, yp) - f) / dy
-        delta = scipy.linalg.solve(np.eye(d) - h * a_ii * jac, -resid)
-        y = y + delta
-        if np.max(np.abs(delta)) <= 1e-14 * (1.0 + np.max(np.abs(y))):
-            return y
-    raise RuntimeError("oracle Newton did not converge")
-
-
-def test_solve_stage_matches_newton_oracle_on_robertson():
+def test_solve_stage_matches_newton_oracle_on_robertson(newton_stage_oracle):
     model = robertson()
     rng = np.random.default_rng(19)
     gamma = tableau("sdirk21").gamma
@@ -376,6 +355,11 @@ def test_integrate_validates_span_and_initial_state():
             1.0,
             np.array([-0.5, 1.0]),
         )
+    # a span not above the step floor 1e4 * eps * max(|t0|, |tf|) = 0.022
+    rob = robertson()
+    for cfg in (SolverConfig(correction="final"), SolverConfig(mode="fixed", h_fixed=0.005)):
+        with pytest.raises(ConfigurationError):
+            integrate(rob, cfg, 1e10, 1e10 + 0.01, rob.y0)
 
 
 def test_integrate_deterministic():

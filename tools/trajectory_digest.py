@@ -1,33 +1,35 @@
-"""Digest the trajectories of a fixed set of integrations.
+"""Digest a checkout's trajectories, README command outputs and src/ size.
 
 Usage: python tools/trajectory_digest.py [ROOT]
 
-Runs a fixed set of 147 integrations against ROOT/src (default: the
-checkout holding this script) in a child process with BLAS pinned to
-one thread, and prints one sha256 per run over the trajectory's
-``times``, ``states``, ``min_components``, ``h_used``, ``clip_counts``,
-``invariant_values``, ``status`` and every ``StepAttempt``.  Two
-checkouts integrate bit-identically on the set exactly when their
-printouts are equal, so one ``diff`` compares them.
+Runs against ROOT/src (default: the checkout holding this script) with
+BLAS pinned to one thread and prints, in order: one sha256 per run of a
+fixed set of 147 integrations, over every field of its ``Trajectory``
+and every ``StepAttempt``; for each ``pdint ...`` command in the code
+blocks of ROOT/README.md but ``timing`` (its output is wall-clock time),
+run as ``python -m pdint.cli`` in a fresh temporary directory, a sha256
+of its exit code, stdout, stderr and every file it wrote; and
+``src lines N``, the line count of ROOT/src/**/*.py.  Two checkouts
+compute the same numbers and CLI outputs exactly when their printouts
+differ at most in the last line, so one ``diff`` compares them.
 
 The set: Robertson [0, 5000], MAPK alpha=1 [0, 20] and stratospheric
 [19 h, 19 h + 120 s] x sdirk21/32/43 x none/final/all; Robertson fixed
 h = 2000 on [0, 1e4] and KdV 64 cells with 8 fixed steps of 0.35/128 x
 sdirk21/32 x none/final/all; the positivity-guard runs KdV 64 cells
 [0, 0.35] from h0 = 0.0035 and stratospheric [12 h, 36 h] with final
-correction; two runs of ``pdint.cli.main`` with ``--eps``; and every
-case of the benchmark workloads in ``perfbench/workloads.py`` for seed
-``WORKLOAD_SEED`` (104 runs).  The workload cases are read from the
-checkout holding this script, so both sides of a diff run the same
-inputs.
+correction; Robertson fixed h = 2000 final with eps = 1e-6 and MAPK
+sdirk32 all with eps = 1e-3; and every case of the benchmark workloads
+in ``perfbench/workloads.py`` for seed ``WORKLOAD_SEED`` (104 runs),
+read from the checkout holding this script so that both sides of a
+diff run the same inputs.
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
-import io
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -68,17 +70,12 @@ def library_runs():
                  {"h0": 0.0035, "positivity_guard_rejection": True}, 0.0, 0.35))
     runs.append(("stratospheric guard final", "stratospheric", {},
                  {"correction": "final", "positivity_guard_rejection": True}, 12 * HOUR, 36 * HOUR))
+    runs.append(("robertson fixed final eps=1e-6", "robertson", {},
+                 {"correction": "final", "mode": "fixed", "h_fixed": 2000.0, "eps": 1e-6},
+                 0.0, 1e4))
+    runs.append(("mapk sdirk32 all eps=1e-3", "mapk", {"alpha": 1.0},
+                 {"method": "sdirk32", "correction": "all", "eps": 1e-3}, 0.0, 20.0))
     return runs
-
-
-CLI_RUNS = (
-    ("robertson fixed final --eps 1e-6",
-     ["--problem", "robertson", "--mode", "fixed", "--h", "2000", "--t0", "0", "--tf", "1e4",
-      "--correction", "final", "--eps", "1e-6"]),
-    ("mapk sdirk32 all --eps 1e-3",
-     ["--problem", "mapk", "--param", "alpha=1", "--method", "sdirk32", "--t0", "0", "--tf", "20",
-      "--correction", "all", "--eps", "1e-3"]),
-)
 
 
 def trajectory_digest(traj) -> str:
@@ -99,25 +96,12 @@ def trajectory_digest(traj) -> str:
 
 def digest_all() -> None:
     """Print one digest line per run; must run with ROOT/src importable."""
-    from pdint import SolverConfig, cli, get_model, integrate
+    from pdint import SolverConfig, get_model, integrate
 
     for label, problem, params, kwargs, t0, tf in library_runs():
         model = get_model(problem, params)
         traj = integrate(model, SolverConfig(**kwargs), t0, tf, model.y0)
         print(f"{trajectory_digest(traj)}  {label}", flush=True)
-
-    captured = []
-
-    def capture(*args):
-        captured.append(integrate(*args))
-        return captured[-1]
-
-    cli.integrate = capture
-    with tempfile.TemporaryDirectory() as tmp:
-        for label, args in CLI_RUNS:
-            with contextlib.redirect_stdout(io.StringIO()):
-                rc = cli.main(["integrate", *args, "--out", str(Path(tmp) / "out.csv")])
-            print(f"{trajectory_digest(captured.pop())}  {label} (exit {rc})", flush=True)
 
     import workloads
 
@@ -127,14 +111,52 @@ def digest_all() -> None:
             print(f"{trajectory_digest(traj)}  {name} {case.label}", flush=True)
 
 
+def readme_commands(readme: Path) -> list:
+    """Argument lists of the ``pdint`` commands in the README's code blocks, except ``timing``."""
+    commands, in_block, line = [], False, ""
+    for raw in readme.read_text().splitlines():
+        if raw.lstrip().startswith("```"):
+            in_block, line = not in_block, ""
+            continue
+        if not in_block:
+            continue
+        line += raw.strip()
+        if line.endswith("\\"):
+            line = line[:-1] + " "
+            continue
+        if line.startswith("pdint ") and not line.startswith("pdint timing"):
+            commands.append(shlex.split(line, comments=True)[1:])
+        line = ""
+    return commands
+
+
+def command_digest(env: dict, args: list) -> list:
+    """Digest lines for one CLI command run in a fresh directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cmd = [sys.executable, "-m", "pdint.cli", *args]
+        proc = subprocess.run(cmd, cwd=tmp, env=env, capture_output=True)
+        blobs = [("stdout", proc.stdout), ("stderr", proc.stderr)]
+        blobs += [(path.name, path.read_bytes()) for path in sorted(Path(tmp).iterdir())]
+    return [f"exit {proc.returncode}"] + [f"{n} {hashlib.sha256(b).hexdigest()}" for n, b in blobs]
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    root = Path(argv[0] if argv else Path(__file__).resolve().parents[1]).resolve()
     here = Path(__file__).resolve().parent
-    path = [str(root / "src"), str(here), str(here.parent / "perfbench")]
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(path))
+    root = Path(argv[0] if argv else here.parent).resolve()
+    path = os.pathsep.join([str(root / "src"), str(here), str(here.parent / "perfbench")])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
     code = "import trajectory_digest; trajectory_digest.digest_all()"
-    return subprocess.run([sys.executable, "-c", code], env=env).returncode
+    if subprocess.run([sys.executable, "-c", code], env=env).returncode:
+        return 1
+    for args in readme_commands(root / "README.md"):
+        print("$ pdint " + shlex.join(args))
+        for line in command_digest(env, args):
+            print("  " + line)
+    # counted as perfbench/layers.src_lines counts
+    src = sorted((root / "src").rglob("*.py"))
+    print(f"src lines {sum(len(p.read_text().splitlines()) for p in src)}")
+    return 0
 
 
 if __name__ == "__main__":
