@@ -189,6 +189,11 @@ class KdvConfig:
         return self.x_lo + (np.arange(self.n_cells) + 0.5) * self.dx
 
 
+def _shift(v: np.ndarray, k: int) -> np.ndarray:
+    """``np.roll(v, k)`` for a vector, as one concatenation of two slices."""
+    return np.concatenate((v[-k:], v[:-k]))
+
+
 def kdv_interface_rates(cfg: KdvConfig, y: np.ndarray) -> np.ndarray:
     """Signed transfer rate across each interface i+1/2 (periodic).
 
@@ -198,9 +203,9 @@ def kdv_interface_rates(cfg: KdvConfig, y: np.ndarray) -> np.ndarray:
     arithmetic mean of the adjacent cell fluxes.
     """
     dx = cfg.dx
-    lap = (np.roll(y, 1) - 2.0 * y + np.roll(y, -1)) / dx**2
+    lap = (_shift(y, 1) - 2.0 * y + _shift(y, -1)) / dx**2
     flux = -(cfg.alpha * y * y + cfg.rho * y + cfg.nu * lap)
-    return 0.5 * (flux + np.roll(flux, -1)) / dx
+    return 0.5 * (flux + _shift(flux, -1)) / dx
 
 
 def kdv(cfg: KdvConfig | None = None) -> HFormModel:
@@ -220,7 +225,7 @@ def kdv(cfg: KdvConfig | None = None) -> HFormModel:
 
     def eval_rhs(y):
         rate = kdv_interface_rates(cfg, y)
-        return rate - np.roll(rate, 1)
+        return rate - _shift(rate, 1)
 
     w = np.full(n, cfg.dx)
     return HFormModel(
