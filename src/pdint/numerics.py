@@ -6,6 +6,8 @@ concurrently.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.linalg.lapack import dgesv, dgetrf, dgetrs
 
@@ -35,7 +37,7 @@ def _check_pivots(lu: np.ndarray, info: int) -> None:
     # info > 0 flags an exactly zero pivot, which the pivot test also catches
     if info < 0:
         raise ValueError(f"LAPACK: illegal value in argument {-info}")
-    if np.abs(np.diagonal(lu)).min() < PIVOT_TOL:
+    if np.abs(lu.diagonal()).min() < PIVOT_TOL:
         raise SingularMatrixError("singular matrix: pivot below 1e-300")
 
 
@@ -110,8 +112,9 @@ def wrms_norm(
         raise ValueError("atol must be positive")
     if not rtol >= 0.0:
         raise ValueError("rtol must be nonnegative")
-    w = atol + rtol * np.abs(y_ref)
-    return float(np.sqrt(np.mean((delta / w) ** 2)))
+    v = delta / (atol + rtol * np.abs(y_ref))
+    v *= v
+    return math.sqrt(v.sum() / v.size)
 
 
 def fit_slope(xs, ys) -> float:
