@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy import sparse
 
 from .numerics import identity_minus, lu_solve
 
@@ -63,16 +64,24 @@ def ratio_scaling(numer: np.ndarray, denom: np.ndarray, eps: float) -> np.ndarra
     return np.maximum(numer, 0.0) / np.maximum(denom, eps)
 
 
-def averaged_g_final(weights, g_list, sigma_list) -> np.ndarray:
-    """Weighted sum of column-scaled matrices, sum_j w_j * G_j @ diag(sigma_j)."""
+def averaged_g_final(weights, g_list, sigma_list):
+    """Weighted sum of column-scaled matrices, sum_j w_j * G_j @ diag(sigma_j).
+
+    Sparse matrices (``scipy.sparse``) give a CSC sum with the same entries.
+    """
     if not (len(weights) == len(g_list) == len(sigma_list)):
         raise ValueError("weights, matrices and scalings must have equal length")
     d = g_list[0].shape[0]
+    if any(g.shape != (d, d) or sig.shape != (d,) for g, sig in zip(g_list, sigma_list)):
+        raise ValueError("inconsistent dimensions in averaged matrix")
+    if sparse.issparse(g_list[0]):
+        out = sparse.csc_array((d, d))
+        for w, g, sig in zip(weights, g_list, sigma_list):
+            out = out + (g @ sparse.diags_array(sig)) * w
+        return out
     out = np.zeros((d, d))
     term = np.empty((d, d))  # reused: at large d each temporary is a full matrix
     for w, g, sig in zip(weights, g_list, sigma_list):
-        if g.shape != (d, d) or sig.shape != (d,):
-            raise ValueError("inconsistent dimensions in averaged matrix")
         np.multiply(g, sig[np.newaxis, :], out=term)
         term *= w
         out += term

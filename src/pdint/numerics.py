@@ -1,7 +1,9 @@
-"""Dense linear-algebra kernel: LU solves, weighted norms, log-log slope fits.
+"""Linear-algebra kernel: LU solves, weighted norms, log-log slope fits.
 
-All functions are pure and hold no state, so they are safe to call
-concurrently.
+Matrices are dense arrays or ``scipy.sparse`` matrices; a sparse matrix
+is factored by SuperLU (``scipy.sparse.linalg.splu``) under the same
+pivot test as a dense one.  All functions are pure and hold no state, so
+they are safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -9,6 +11,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg.lapack import dgesv, dgetrf, dgetrs
 
 # A pivot below this magnitude is treated as an exact singularity.  The
@@ -33,7 +36,8 @@ def vector(entries) -> np.ndarray:
     return v
 
 
-def _check_pivots(lu: np.ndarray, info: int) -> None:
+def _check_pivots(lu, info: int) -> None:
+    """Pivot test on the diagonal of ``lu``: LAPACK's combined factors or SuperLU's U."""
     # info > 0 flags an exactly zero pivot, which the pivot test also catches
     if info < 0:
         raise ValueError(f"LAPACK: illegal value in argument {-info}")
@@ -41,17 +45,32 @@ def _check_pivots(lu: np.ndarray, info: int) -> None:
         raise SingularMatrixError("singular matrix: pivot below 1e-300")
 
 
-def lu_solve(a: np.ndarray, b: np.ndarray, overwrite_a: bool = False) -> np.ndarray:
+def _splu(a):
+    """SuperLU factors of a square sparse ``a``, under the dense pivot test."""
+    from scipy.sparse.linalg import splu  # imported on first use: dense runs never need it
+
+    try:
+        lu = splu(a.tocsc())
+    except RuntimeError as exc:  # SuperLU's "Factor is exactly singular"
+        raise SingularMatrixError(f"singular matrix: {exc}") from None
+    _check_pivots(lu.U, 0)
+    return lu
+
+
+def lu_solve(a, b: np.ndarray, overwrite_a: bool = False) -> np.ndarray:
     """Solve ``a @ x = b`` by LU factorization with partial pivoting.
 
     With ``overwrite_a`` a Fortran-ordered float ``a`` is factored in
     place, which saves a copy of it; the caller must not read ``a`` again.
+    A ``scipy.sparse`` ``a`` is factored by SuperLU and never overwritten.
 
     Raises
     ------
     SingularMatrixError
         If any pivot magnitude falls below :data:`PIVOT_TOL`.
     """
+    if sparse.issparse(a):
+        return _splu(a).solve(np.asarray(b, dtype=float))
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -63,12 +82,16 @@ def lu_solve(a: np.ndarray, b: np.ndarray, overwrite_a: bool = False) -> np.ndar
     return x
 
 
-def lu_factor(a: np.ndarray) -> tuple:
+def lu_factor(a):
     """Factor a square ``a`` once for many solves with :func:`lu_back_solve`.
 
     A Fortran-ordered float ``a`` is factored in place.  Factors, solutions
     and :class:`SingularMatrixError` match :func:`lu_solve` bit for bit.
+    The factors are ``(lu, piv)`` for a dense ``a`` and a SuperLU object
+    for a ``scipy.sparse`` one.
     """
+    if sparse.issparse(a):
+        return _splu(a)
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
@@ -77,20 +100,25 @@ def lu_factor(a: np.ndarray) -> tuple:
     return lu, piv
 
 
-def lu_back_solve(factors: tuple, b: np.ndarray) -> np.ndarray:
-    """Solve ``a @ x = b`` from the ``(lu, piv)`` that :func:`lu_factor` gave for ``a``."""
+def lu_back_solve(factors, b: np.ndarray) -> np.ndarray:
+    """Solve ``a @ x = b`` from the factors that :func:`lu_factor` gave for ``a``."""
+    if not isinstance(factors, tuple):
+        return factors.solve(b)  # SuperLU
     x, _info = dgetrs(*factors, b)  # info < 0 cannot occur once dgetrf accepted the matrix
     return x
 
 
-def identity_minus(c: float, m: np.ndarray) -> np.ndarray:
+def identity_minus(c: float, m):
     """Return ``I - c*m`` as one new array.
 
     Equal, entry for entry, to ``np.eye(d) - c*m`` (up to the sign of zero
     entries), without building the identity or a scaled copy of ``m``: at
     large d each of those is a full d x d temporary.  The result is
-    Fortran-ordered, so :func:`lu_solve` can factor it in place.
+    Fortran-ordered, so :func:`lu_solve` can factor it in place.  A
+    ``scipy.sparse`` ``m`` gives a CSC matrix.
     """
+    if sparse.issparse(m):
+        return (sparse.eye_array(m.shape[0], format="csc") - c * m).tocsc()
     a = np.multiply(m, -c, order="F")
     a.flat[:: a.shape[0] + 1] += 1.0
     return a

@@ -6,10 +6,14 @@ nonnegative orthant) and declared left kernel vectors encoding linear
 conservation laws.  The H-form variant is y' = H(y) 1 with H built from
 pairwise destruction rates, which forces zero column sums.
 
-Both model kinds share one protocol: ``matrix(t, y)`` returns G or H,
-``multiplicand(y)`` returns the vector it multiplies (the state, or all
-ones), and the class attribute ``multiplicand_is_state`` tells the two
-kinds apart wherever the solver must.
+Both model kinds share one protocol: ``matrix(t, y)`` returns G or H, as
+a dense array or a ``scipy.sparse`` CSC matrix, ``multiplicand(y)``
+returns the vector it multiplies (the state, or all ones), and the class
+attribute ``multiplicand_is_state`` tells the two kinds apart wherever
+the solver must.  The optional ``jac_sparsity`` declares which entries of
+the rhs Jacobian can be nonzero, as ``solve_ivp``'s argument of that
+name does; the finite-difference Jacobian is then a CSC matrix on that
+pattern.
 
 Models are immutable and their evaluation callbacks must be pure, so a
 model may be shared freely across threads.
@@ -21,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Callable, ClassVar
 
 import numpy as np
+from scipy import sparse
 
 KERNEL_RTOL = 1e-10  # exactness threshold for declared invariants, relative to |G|
 
@@ -45,6 +50,8 @@ class GraphLaplacianModel:
     y0: np.ndarray | None = None
     t0: float = 0.0
     y_scale: float | np.ndarray = 1.0
+    # optional pattern of the rhs Jacobian; None builds it dense
+    jac_sparsity: object = None
 
     def matrix(self, t: float, y: np.ndarray) -> np.ndarray:
         return self.eval_G(t, y)
@@ -66,6 +73,8 @@ class HFormModel:
     y_scale: float | np.ndarray = 1.0
     # optional fast path returning H(y) @ 1 without assembling H
     eval_rhs: Callable[[np.ndarray], np.ndarray] | None = None
+    # optional pattern of the rhs Jacobian; None builds it dense
+    jac_sparsity: object = None
 
     def matrix(self, t: float, y: np.ndarray) -> np.ndarray:
         return self.eval_H(y)
@@ -93,9 +102,14 @@ class StructureReport:
         return not self.sign_violations and not self.kernel_residuals
 
 
-def validate_sign_structure(m: np.ndarray, tol: float) -> StructureReport:
+def _dense(m) -> np.ndarray:
+    """``m`` as a float array; the checks below are off the hot path, so they densify."""
+    return np.asarray(m.toarray() if sparse.issparse(m) else m, dtype=float)
+
+
+def validate_sign_structure(m, tol: float) -> StructureReport:
     """Report diagonal entries above tol, off-diagonal ones below -tol, and NaN entries."""
-    m = np.asarray(m, dtype=float)
+    m = _dense(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
     if not tol >= 0.0:
@@ -112,27 +126,32 @@ def validate_sign_structure(m: np.ndarray, tol: float) -> StructureReport:
     return report
 
 
-def validate_left_kernel(m: np.ndarray, w: np.ndarray) -> float:
+def validate_left_kernel(m, w: np.ndarray) -> float:
     """Max-norm residual of w @ m; zero means w is a left kernel vector."""
-    m = np.asarray(m, dtype=float)
+    m = _dense(m)
     w = np.asarray(w, dtype=float)
     if w.shape[0] != m.shape[0]:
         raise ValueError(f"dimension mismatch: {m.shape} vs {w.shape}")
     return float(np.max(np.abs(w @ m)))
 
 
-def assemble_g_from_rates(rates: np.ndarray) -> np.ndarray:
+def assemble_g_from_rates(rates):
     """Build G = L^T - diag(L @ 1) from a nonnegative transition-rate matrix L.
 
     Column sums of the result vanish by construction and the sign pattern
     (nonpositive diagonal, nonnegative off-diagonal) holds.  An H-form
     model's destruction matrix D gives H = D^T - diag(D @ 1) the same way.
+    A ``scipy.sparse`` L gives G as a CSC matrix.
     """
-    rates = np.asarray(rates, dtype=float)
+    is_sparse = sparse.issparse(rates)
+    if not is_sparse:
+        rates = np.asarray(rates, dtype=float)
     if rates.ndim != 2 or rates.shape[0] != rates.shape[1]:
         raise ValueError("rate matrix must be square")
-    if np.any(rates < 0.0):
+    if np.any((rates.data if is_sparse else rates) < 0.0):
         raise ValueError("transition rates must be nonnegative")
+    if is_sparse:
+        return (rates.T - sparse.diags_array(rates @ np.ones(rates.shape[0]))).tocsc()
     g = rates.T.copy()
     g.flat[:: g.shape[0] + 1] -= rates.sum(axis=1)
     return g
@@ -179,7 +198,7 @@ def validate_model(
     times = rng.uniform(t_span[0], t_span[1], size=n_samples)
     report = StructureReport()
     for t, y in zip(times, states):
-        m = model.matrix(t, y)
+        m = _dense(model.matrix(t, y))
         norm = np.max(np.abs(m))
         norm = norm if 1e-300 < norm < np.inf else 1e-300  # also for a NaN or Inf entry
         sub = validate_sign_structure(m, sign_tol * norm)

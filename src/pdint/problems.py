@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
+from scipy import sparse
 
 from .pds import (
     GraphLaplacianModel,
@@ -215,18 +216,21 @@ def kdv(cfg: KdvConfig | None = None) -> HFormModel:
     ip1 = (idx + 1) % n
 
     def eval_H(y):
+        # interface i+1/2 drains cell i+1 into cell i at a positive rate, and
+        # cell i into cell i+1 at a negative one
         rate = kdv_interface_rates(cfg, y)
-        dest = np.zeros((n, n))
         pos = rate >= 0.0
-        neg = ~pos
-        dest[ip1[pos], idx[pos]] = rate[pos]
-        dest[idx[neg], ip1[neg]] = -rate[neg]
+        donor, receiver = np.where(pos, ip1, idx), np.where(pos, idx, ip1)
+        dest = sparse.csc_array((np.abs(rate), (donor, receiver)), shape=(n, n))
         return assemble_h_from_destruction(dest)
 
     def eval_rhs(y):
         rate = kdv_interface_rates(cfg, y)
         return rate - _shift(rate, 1)
 
+    # rhs_i reads cells i-2 .. i+2, so column j of the Jacobian holds rows j-2 .. j+2
+    stencil = (idx[:, None] + np.arange(-2, 3)) % n
+    pattern = sparse.csc_array((np.ones(5 * n), (stencil.ravel(), np.repeat(idx, 5))))
     w = np.full(n, cfg.dx)
     return HFormModel(
         dim=n,
@@ -236,6 +240,7 @@ def kdv(cfg: KdvConfig | None = None) -> HFormModel:
         y0=kdv_initial(cfg),
         y_scale=6.0 + cfg.shift,
         eval_rhs=eval_rhs,
+        jac_sparsity=pattern,
     )
 
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy import sparse
 
 from .correction import (
     CorrectionDiagnostics,
@@ -267,15 +268,30 @@ class Trajectory:
 
 
 def _fd_jacobian(model, t, y, f0):
+    """Forward-difference Jacobian, one rhs evaluation per column.
+
+    Dense, unless the model declares ``jac_sparsity``: then a CSC matrix
+    with the same entries on that pattern.
+    """
     d = y.size
-    jac = np.empty((d, d), order="F")  # filled column by column
+    pattern = model.jac_sparsity
+    if pattern is None:
+        jac = np.empty((d, d), order="F")  # filled column by column
+    else:
+        jac = sparse.csc_array(pattern, dtype=float, copy=True)
+        jac.sum_duplicates()  # one stored entry per position, rows sorted
+        ptr, rows = jac.indptr, jac.indices
     ynorm = max(np.max(np.abs(y)), _TINY)
     sq = math.sqrt(np.finfo(float).eps)
     for j in range(d):
         dy = sq * max(abs(y[j]), 1e-4 * ynorm)
         yp = y.copy()
         yp[j] += dy
-        jac[:, j] = (eval_rhs(model, t, yp) - f0) / dy
+        col = (eval_rhs(model, t, yp) - f0) / dy
+        if pattern is None:
+            jac[:, j] = col
+        else:
+            jac.data[ptr[j]:ptr[j + 1]] = col[rows[ptr[j]:ptr[j + 1]]]
     return jac
 
 

@@ -73,6 +73,18 @@ def test_averaged_g_final_column_scaling():
     assert np.array_equal(out, [[-2.0, 0.0], [2.0, 0.0]])
 
 
+def test_averaged_g_final_of_sparse_matrices_has_the_dense_entries():
+    from scipy import sparse
+
+    rng = np.random.default_rng(4)
+    gs = [random_laplacian(rng, 5) * (rng.random((5, 5)) < 0.5) for _ in range(3)]
+    sigmas = [rng.uniform(0.0, 2.0, 5) for _ in range(3)]
+    weights = [0.2, 0.5, 0.3]
+    out = averaged_g_final(weights, [sparse.csc_array(g) for g in gs], sigmas)
+    assert sparse.issparse(out) and out.format == "csc"
+    assert np.array_equal(out.toarray(), averaged_g_final(weights, gs, sigmas))
+
+
 def test_corrector_solve_zero_matrix():
     y = np.array([0.4, 0.6])
     out = corrector_solve(y, 3.7, np.zeros((2, 2)))

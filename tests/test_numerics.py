@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy import sparse
 
 from pdint.numerics import (
     SingularMatrixError,
@@ -41,6 +42,36 @@ def test_lu_factor_singular(a):
         lu_solve(a, np.ones(2))
     with pytest.raises(SingularMatrixError):
         lu_factor(a)
+
+
+@pytest.mark.parametrize(
+    "a, pivot_test",
+    [
+        (np.zeros((2, 2)), False),
+        (np.array([[1.0, 2.0], [2.0, 4.0]]), False),
+        (np.diag([1.0, 1e-310]), True),
+    ],
+)
+def test_sparse_lu_factor_singular(a, pivot_test):
+    # an exactly singular CSC matrix fails inside SuperLU; a tiny pivot
+    # passes SuperLU and fails the pivot test
+    a = sparse.csc_array(a)
+    for solve in (lambda: lu_solve(a, np.ones(2)), lambda: lu_factor(a)):
+        with pytest.raises(SingularMatrixError, match="pivot below" if pivot_test else "exactly singular"):
+            solve()
+
+
+def test_sparse_lu_factor_and_solve_agree_with_the_dense_solve():
+    rng = np.random.default_rng(8)
+    d = 40
+    a = np.eye(d) * 4.0 + rng.random((d, d)) * (rng.random((d, d)) < 0.1)
+    b = rng.standard_normal(d)
+    factors = lu_factor(sparse.csc_array(a))
+    x = lu_solve(sparse.csc_array(a), b)
+    assert np.array_equal(lu_back_solve(factors, b), x)
+    assert np.max(np.abs(x - lu_solve(a, b))) <= 1e-12 * np.max(np.abs(x))
+    with pytest.raises(ValueError):
+        lu_factor(sparse.csc_array(np.ones((2, 3))))
 
 
 def test_lu_factor_rejects_non_square():
@@ -178,3 +209,12 @@ def test_fit_slope_recovers_power_laws():
 def test_fit_slope_degenerate():
     with pytest.raises(ValueError):
         fit_slope([0.5, 0.5, 0.5], [1.0, 2.0, 3.0])
+
+
+def test_sparse_identity_minus_equals_the_dense_one():
+    rng = np.random.default_rng(6)
+    m = rng.standard_normal((7, 7)) * (rng.random((7, 7)) < 0.4)
+    m[2, 2] = 0.0  # the identity fills a diagonal entry the pattern lacks
+    a = identity_minus(0.3, sparse.csc_array(m))
+    assert sparse.issparse(a) and a.format == "csc"
+    assert np.array_equal(a.toarray(), identity_minus(0.3, m))

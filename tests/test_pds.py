@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from pdint.pds import (
     GraphLaplacianModel,
@@ -110,6 +111,23 @@ def test_assemble_h_examples():
     assert np.array_equal(h, [[-2.0, 0.0], [2.0, 0.0]])
     with pytest.raises(ValueError):
         assemble_h_from_destruction(np.array([[0.0, 1.0], [-0.1, 0.0]]))
+
+
+def test_sparse_destruction_matrix_gives_the_dense_h_and_validates():
+    # a cyclic two-neighbour pattern, as KdV's: with two entries per row
+    # the row sums cannot depend on the order of summation
+    rng = np.random.default_rng(9)
+    idx = np.arange(6)
+    dest = np.zeros((6, 6))
+    dest[idx, (idx + 1) % 6] = rng.uniform(0.0, 3.0, 6)
+    dest[idx, (idx - 1) % 6] = rng.uniform(0.0, 3.0, 6) * (rng.random(6) < 0.5)
+    h = assemble_h_from_destruction(sparse.csc_array(dest))
+    assert sparse.issparse(h) and h.format == "csc"
+    assert np.array_equal(h.toarray(), assemble_h_from_destruction(dest))
+    assert validate_sign_structure(h, 0.0).ok
+    assert validate_left_kernel(h, np.ones(6)) <= 1e-14 * np.max(dest)
+    with pytest.raises(ValueError):
+        assemble_h_from_destruction(sparse.csc_array(np.array([[0.0, 1.0], [-0.1, 0.0]])))
 
 
 def test_assemble_h_zero_column_sums():

@@ -570,7 +570,7 @@ def test_newton_stages_of_one_step_share_one_factored_matrix(monkeypatch, method
 
 
 def test_newton_stage_recovers_from_a_wrong_carried_matrix(monkeypatch):
-    from pdint.numerics import lu_factor
+    from pdint.numerics import lu_back_solve, lu_factor
     from pdint.problems import KdvConfig, kdv
 
     model = kdv(KdvConfig(n_cells=64))
@@ -580,12 +580,50 @@ def test_newton_stage_recovers_from_a_wrong_carried_matrix(monkeypatch):
     builds = _count_calls(monkeypatch, "_fd_jacobian")
     y, factors = solve_stage(model, gamma * h, y_n, h, gamma, np.zeros(64), lu_factor(np.eye(64)))
     assert len(builds) == 1, "the wrong matrix should have been rebuilt"
-    assert factors is not None and not np.array_equal(factors[0], np.eye(64))
+    assert factors is not None and not np.array_equal(lu_back_solve(factors, y_n), y_n)
     resid = y - y_n - h * gamma * eval_rhs(model, gamma * h, y)
     scale = np.abs(y_n).max()
     weights = sdirk._STAGE_TOL * (np.clip(model.y_scale, 1e-30, scale) + np.abs(y))
     assert np.sqrt(np.mean((resid / weights) ** 2)) <= 1.0
     assert np.max(np.abs(y - fresh)) <= 1e-10 * np.max(np.abs(fresh))
+
+
+@pytest.mark.parametrize("n_cells", [16, 1024])
+def test_fd_jacobian_on_the_declared_pattern_equals_the_dense_one(n_cells):
+    from scipy import sparse
+
+    from pdint.problems import KdvConfig, kdv
+
+    model = kdv(KdvConfig(n_cells=n_cells, shift=0.5))
+    dense = dataclasses.replace(model, jac_sparsity=None)
+    y = model.y0 * np.random.default_rng(n_cells).uniform(0.5, 1.5, n_cells)
+    f = eval_rhs(model, 0.0, y)
+    jac = sdirk._fd_jacobian(model, 0.0, y, f)
+    assert sparse.issparse(jac) and jac.format == "csc"
+    assert np.array_equal(jac.toarray(), sdirk._fd_jacobian(dense, 0.0, y, f))
+
+
+@pytest.mark.parametrize("mode", ["final", "all"])
+@pytest.mark.parametrize("method", ["sdirk21", "sdirk32"])
+def test_sparse_kdv_agrees_with_the_same_model_made_dense(method, mode):
+    from pdint.pds import invariant_error
+    from pdint.problems import KdvConfig, kdv
+
+    model = kdv(KdvConfig(n_cells=64))
+    dense = dataclasses.replace(
+        model, eval_H=lambda y: model.eval_H(y).toarray(), jac_sparsity=None
+    )
+    config = SolverConfig(method=method, mode="fixed", h_fixed=0.35 / 128, correction=mode)
+    sparse_traj, dense_traj = (
+        integrate(m, config, 0.0, 8 * 0.35 / 128, model.y0) for m in (model, dense)
+    )
+    for traj in (sparse_traj, dense_traj):
+        assert traj.status == TrajectoryStatus.COMPLETED
+        assert invariant_error(traj, model.invariants[0].w) <= 1e-12
+    assert sparse_traj.steps_accepted == dense_traj.steps_accepted == 8
+    assert len(sparse_traj.attempts) == len(dense_traj.attempts)
+    y_s, y_d = sparse_traj.states[-1], dense_traj.states[-1]
+    assert np.max(np.abs(y_s - y_d)) <= 1e-12 * np.max(np.abs(y_d))
 
 
 def test_failed_newton_stage_is_not_repeated_from_the_same_start(monkeypatch):
