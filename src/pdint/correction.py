@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import sparse
 
-from .numerics import identity_minus, lu_solve
+from .numerics import identity_minus, issparse, lu_solve
 
 
 class CorrectionMode(str, Enum):
@@ -74,7 +73,9 @@ def averaged_g_final(weights, g_list, sigma_list):
     d = g_list[0].shape[0]
     if any(g.shape != (d, d) or sig.shape != (d,) for g, sig in zip(g_list, sigma_list)):
         raise ValueError("inconsistent dimensions in averaged matrix")
-    if sparse.issparse(g_list[0]):
+    if issparse(g_list[0]):
+        from scipy import sparse
+
         out = sparse.csc_array((d, d))
         for w, g, sig in zip(weights, g_list, sigma_list):
             out = out + (g @ sparse.diags_array(sig)) * w

@@ -9,9 +9,9 @@ they are safe to call concurrently.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
-from scipy import sparse
 from scipy.linalg.lapack import dgesv, dgetrf, dgetrs
 
 # A pivot below this magnitude is treated as an exact singularity.  The
@@ -36,6 +36,16 @@ def vector(entries) -> np.ndarray:
     return v
 
 
+def issparse(a) -> bool:
+    """Whether ``a`` is a ``scipy.sparse`` matrix, without importing ``scipy.sparse``.
+
+    No sparse matrix can exist before that module is loaded, so dense-only
+    runs never pay for its import.
+    """
+    sp = sys.modules.get("scipy.sparse")
+    return sp is not None and sp.issparse(a)
+
+
 def _check_pivots(lu, info: int) -> None:
     """Pivot test on the diagonal of ``lu``: LAPACK's combined factors or SuperLU's U."""
     # info > 0 flags an exactly zero pivot, which the pivot test also catches
@@ -51,7 +61,9 @@ def _splu(a):
 
     try:
         lu = splu(a.tocsc())
-    except RuntimeError as exc:  # SuperLU's "Factor is exactly singular"
+    except RuntimeError as exc:
+        if "singular" not in str(exc):  # e.g. out of memory: not a singular matrix
+            raise
         raise SingularMatrixError(f"singular matrix: {exc}") from None
     _check_pivots(lu.U, 0)
     return lu
@@ -69,7 +81,7 @@ def lu_solve(a, b: np.ndarray, overwrite_a: bool = False) -> np.ndarray:
     SingularMatrixError
         If any pivot magnitude falls below :data:`PIVOT_TOL`.
     """
-    if sparse.issparse(a):
+    if issparse(a):
         return _splu(a).solve(np.asarray(b, dtype=float))
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -90,7 +102,7 @@ def lu_factor(a):
     The factors are ``(lu, piv)`` for a dense ``a`` and a SuperLU object
     for a ``scipy.sparse`` one.
     """
-    if sparse.issparse(a):
+    if issparse(a):
         return _splu(a)
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -117,7 +129,9 @@ def identity_minus(c: float, m):
     Fortran-ordered, so :func:`lu_solve` can factor it in place.  A
     ``scipy.sparse`` ``m`` gives a CSC matrix.
     """
-    if sparse.issparse(m):
+    if issparse(m):
+        from scipy import sparse
+
         return (sparse.eye_array(m.shape[0], format="csc") - c * m).tocsc()
     a = np.multiply(m, -c, order="F")
     a.flat[:: a.shape[0] + 1] += 1.0

@@ -10,10 +10,10 @@ Both model kinds share one protocol: ``matrix(t, y)`` returns G or H, as
 a dense array or a ``scipy.sparse`` CSC matrix, ``multiplicand(y)``
 returns the vector it multiplies (the state, or all ones), and the class
 attribute ``multiplicand_is_state`` tells the two kinds apart wherever
-the solver must.  The optional ``jac_sparsity`` declares which entries of
-the rhs Jacobian can be nonzero, as ``solve_ivp``'s argument of that
-name does; the finite-difference Jacobian is then a CSC matrix on that
-pattern.
+the solver must.  An H-form model's optional ``jac_sparsity`` declares
+which entries of the rhs Jacobian can be nonzero, as ``solve_ivp``'s
+argument of that name does; the finite-difference Jacobian is then a CSC
+matrix on that pattern.  A graph-Laplacian model's is always None.
 
 Models are immutable and their evaluation callbacks must be pure, so a
 model may be shared freely across threads.
@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 from typing import Callable, ClassVar
 
 import numpy as np
-from scipy import sparse
+
+from .numerics import issparse
 
 KERNEL_RTOL = 1e-10  # exactness threshold for declared invariants, relative to |G|
 
@@ -42,6 +43,7 @@ class LinearInvariant:
 @dataclass(frozen=True)
 class GraphLaplacianModel:
     multiplicand_is_state: ClassVar[bool] = True
+    jac_sparsity: ClassVar = None  # the rhs Jacobian is always built dense
 
     dim: int
     eval_G: Callable[[float, np.ndarray], np.ndarray]
@@ -50,8 +52,6 @@ class GraphLaplacianModel:
     y0: np.ndarray | None = None
     t0: float = 0.0
     y_scale: float | np.ndarray = 1.0
-    # optional pattern of the rhs Jacobian; None builds it dense
-    jac_sparsity: object = None
 
     def matrix(self, t: float, y: np.ndarray) -> np.ndarray:
         return self.eval_G(t, y)
@@ -104,7 +104,7 @@ class StructureReport:
 
 def _dense(m) -> np.ndarray:
     """``m`` as a float array; the checks below are off the hot path, so they densify."""
-    return np.asarray(m.toarray() if sparse.issparse(m) else m, dtype=float)
+    return np.asarray(m.toarray() if issparse(m) else m, dtype=float)
 
 
 def validate_sign_structure(m, tol: float) -> StructureReport:
@@ -143,7 +143,7 @@ def assemble_g_from_rates(rates):
     model's destruction matrix D gives H = D^T - diag(D @ 1) the same way.
     A ``scipy.sparse`` L gives G as a CSC matrix.
     """
-    is_sparse = sparse.issparse(rates)
+    is_sparse = issparse(rates)
     if not is_sparse:
         rates = np.asarray(rates, dtype=float)
     if rates.ndim != 2 or rates.shape[0] != rates.shape[1]:
@@ -151,6 +151,8 @@ def assemble_g_from_rates(rates):
     if np.any((rates.data if is_sparse else rates) < 0.0):
         raise ValueError("transition rates must be nonnegative")
     if is_sparse:
+        from scipy import sparse
+
         return (rates.T - sparse.diags_array(rates @ np.ones(rates.shape[0]))).tocsc()
     g = rates.T.copy()
     g.flat[:: g.shape[0] + 1] -= rates.sum(axis=1)

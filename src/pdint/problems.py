@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy import sparse
 
 from .pds import (
     GraphLaplacianModel,
@@ -210,6 +209,8 @@ def kdv_interface_rates(cfg: KdvConfig, y: np.ndarray) -> np.ndarray:
 
 
 def kdv(cfg: KdvConfig | None = None) -> HFormModel:
+    from scipy import sparse  # only KdV builds sparse matrices
+
     cfg = cfg or KdvConfig()
     n = cfg.n_cells
     idx = np.arange(n)

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import sparse
 
 from .correction import (
     CorrectionDiagnostics,
@@ -278,6 +277,8 @@ def _fd_jacobian(model, t, y, f0):
     if pattern is None:
         jac = np.empty((d, d), order="F")  # filled column by column
     else:
+        from scipy import sparse
+
         jac = sparse.csc_array(pattern, dtype=float, copy=True)
         jac.sum_duplicates()  # one stored entry per position, rows sorted
         ptr, rows = jac.indptr, jac.indices

@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 from scipy import sparse
 
+import pdint
 from pdint.numerics import (
     SingularMatrixError,
     fit_slope,
@@ -59,6 +66,31 @@ def test_sparse_lu_factor_singular(a, pivot_test):
     for solve in (lambda: lu_solve(a, np.ones(2)), lambda: lu_factor(a)):
         with pytest.raises(SingularMatrixError, match="pivot below" if pivot_test else "exactly singular"):
             solve()
+
+
+def test_superlu_errors_other_than_singularity_pass_through(monkeypatch):
+    def failing_splu(a):
+        raise RuntimeError("SUPERLU_MALLOC fails for buf in intMalloc()")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", failing_splu)
+    a = sparse.csc_array(np.eye(2))
+    for solve in (lambda: lu_solve(a, np.ones(2)), lambda: lu_factor(a)):
+        with pytest.raises(RuntimeError, match="MALLOC") as info:
+            solve()
+        assert not isinstance(info.value, SingularMatrixError)
+
+
+def test_dense_runs_do_not_import_scipy_sparse():
+    # only KdV builds sparse matrices; a kinetics run must not pay for the import
+    code = (
+        "import sys\n"
+        "from pdint import SolverConfig, get_model, integrate\n"
+        "model = get_model('robertson')\n"
+        "integrate(model, SolverConfig(method='sdirk21', correction='final'), 0.0, 1.0, model.y0)\n"
+        "assert 'scipy.sparse' not in sys.modules, 'scipy.sparse was imported'\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(pdint.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 def test_sparse_lu_factor_and_solve_agree_with_the_dense_solve():
