@@ -154,9 +154,18 @@ def wrms_norm(
         raise ValueError("atol must be positive")
     if not rtol >= 0.0:
         raise ValueError("rtol must be nonnegative")
+    return weighted_rms(delta, y_ref, atol, rtol)
+
+
+def weighted_rms(delta: np.ndarray, y_ref: np.ndarray, atol, rtol: float) -> float:
+    """:func:`wrms_norm` without its argument checks, for callers that already hold valid ones.
+
+    ``delta`` and ``y_ref`` must be float arrays of one shape; the result
+    equals :func:`wrms_norm`'s bit for bit.
+    """
     v = delta / (atol + rtol * np.abs(y_ref))
     v *= v
-    return math.sqrt(v.sum() / v.size)
+    return math.sqrt(np.add.reduce(v) / v.size)
 
 
 def fit_slope(xs, ys) -> float:

@@ -189,9 +189,33 @@ class KdvConfig:
         return self.x_lo + (np.arange(self.n_cells) + 0.5) * self.dx
 
 
-def _shift(v: np.ndarray, k: int) -> np.ndarray:
-    """``np.roll(v, k)`` for a vector, as one concatenation of two slices."""
-    return np.concatenate((v[-k:], v[:-k]))
+def _kdv_rates(cfg: KdvConfig, y: np.ndarray) -> np.ndarray:
+    """Transfer rates across interfaces -1/2 .. n-1/2 (periodic), n+1 values.
+
+    Computed from one ghost-padded copy of ``y`` by slices and in-place
+    ufuncs; every entry gets the floating-point operations of the formulas
+    in the comments below, in their order.
+    """
+    dx = cfg.dx
+    p = np.concatenate((y[-2:], y, y[:2]))  # cells -2 .. n+1
+    mid = p[1:-1]  # cells -1 .. n
+    # lap_i = ((y_{i-1} - 2 y_i) + y_{i+1}) / dx^2
+    lap = mid * 2.0
+    np.subtract(p[:-2], lap, out=lap)
+    lap += p[2:]
+    lap /= dx**2
+    # flux_i = -(((alpha y_i) y_i + rho y_i) + nu lap_i)
+    flux = mid * cfg.alpha
+    flux *= mid
+    flux += mid * cfg.rho
+    lap *= cfg.nu
+    flux += lap
+    np.negative(flux, out=flux)
+    # rate_{i+1/2} = (0.5 (flux_i + flux_{i+1})) / dx
+    rate = np.add(flux[:-1], flux[1:])
+    rate *= 0.5
+    rate /= dx
+    return rate
 
 
 def kdv_interface_rates(cfg: KdvConfig, y: np.ndarray) -> np.ndarray:
@@ -202,10 +226,7 @@ def kdv_interface_rates(cfg: KdvConfig, y: np.ndarray) -> np.ndarray:
     periodic three-point second difference; interface values are the
     arithmetic mean of the adjacent cell fluxes.
     """
-    dx = cfg.dx
-    lap = (_shift(y, 1) - 2.0 * y + _shift(y, -1)) / dx**2
-    flux = -(cfg.alpha * y * y + cfg.rho * y + cfg.nu * lap)
-    return 0.5 * (flux + _shift(flux, -1)) / dx
+    return _kdv_rates(cfg, y)[1:]
 
 
 def kdv(cfg: KdvConfig | None = None) -> HFormModel:
@@ -226,8 +247,8 @@ def kdv(cfg: KdvConfig | None = None) -> HFormModel:
         return assemble_h_from_destruction(dest)
 
     def eval_rhs(y):
-        rate = kdv_interface_rates(cfg, y)
-        return rate - _shift(rate, 1)
+        rate = _kdv_rates(cfg, y)  # rhs_i = rate_{i+1/2} - rate_{i-1/2}
+        return np.subtract(rate[1:], rate[:-1])
 
     # rhs_i reads cells i-2 .. i+2, so column j of the Jacobian holds rows j-2 .. j+2
     stencil = (idx[:, None] + np.arange(-2, 3)) % n

@@ -31,7 +31,7 @@ from .correction import (
 # test_metric_names_are_well_formed_and_match_the_benchmark) looks both names up on this module
 from .correction import h_form_corrector, stage_corrected_g  # noqa: F401
 from .numerics import SingularMatrixError, identity_minus, lu_solve, vector, wrms_norm
-from .numerics import lu_back_solve, lu_factor
+from .numerics import lu_back_solve, lu_factor, weighted_rms
 from .pds import eval_rhs
 
 _TINY = 1e-30
@@ -273,6 +273,9 @@ def _fd_jacobian(model, t, y, f0):
     with the same entries on that pattern.
     """
     d = y.size
+    ynorm = max(np.abs(y).max(), _TINY)
+    # dy_j = sqrt(eps) * max(|y_j|, 1e-4 * ynorm)
+    dys = np.multiply(math.sqrt(np.finfo(float).eps), np.maximum(np.abs(y), 1e-4 * ynorm))
     pattern = model.jac_sparsity
     if pattern is None:
         jac = np.empty((d, d), order="F")  # filled column by column
@@ -281,18 +284,18 @@ def _fd_jacobian(model, t, y, f0):
 
         jac = sparse.csc_array(pattern, dtype=float, copy=True)
         jac.sum_duplicates()  # one stored entry per position, rows sorted
-        ptr, rows = jac.indptr, jac.indices
-    ynorm = max(np.max(np.abs(y)), _TINY)
-    sq = math.sqrt(np.finfo(float).eps)
-    for j in range(d):
-        dy = sq * max(abs(y[j]), 1e-4 * ynorm)
+        rows, data, ptr = jac.indices, jac.data, jac.indptr.tolist()
+    for j, dy in enumerate(dys.tolist()):
         yp = y.copy()
         yp[j] += dy
-        col = (eval_rhs(model, t, yp) - f0) / dy
+        f = eval_rhs(model, t, yp)
         if pattern is None:
-            jac[:, j] = col
-        else:
-            jac.data[ptr[j]:ptr[j + 1]] = col[rows[ptr[j]:ptr[j + 1]]]
+            jac[:, j] = (f - f0) / dy
+        else:  # only column j's pattern rows r; differenced below
+            data[ptr[j]:ptr[j + 1]] = f[rows[ptr[j]:ptr[j + 1]]]
+    if pattern is not None:  # every stored entry at once: (f[r] - f0[r]) / dy_j
+        data -= f0[rows]
+        data /= np.repeat(dys, np.diff(jac.indptr))
     return jac
 
 
@@ -309,7 +312,7 @@ def _newton_stage(model, t, rhs, h_aii, y_init, atol_it, a_fact):
     y = y_init.copy()
     f = eval_rhs(model, t, y)
     resid = y - rhs - h_aii * f
-    rn = wrms_norm(resid, y, atol_it, _STAGE_TOL)
+    rn = weighted_rms(resid, y, atol_it, _STAGE_TOL)
     fresh = False
     for _ in range(_STAGE_MAX_ITER):
         if rn <= 1.0:
@@ -324,7 +327,7 @@ def _newton_stage(model, t, rhs, h_aii, y_init, atol_it, a_fact):
             y_new = y + alpha * delta
             f_new = eval_rhs(model, t, y_new)
             r_new = y_new - rhs - h_aii * f_new
-            rn_new = wrms_norm(r_new, y_new, atol_it, _STAGE_TOL)
+            rn_new = weighted_rms(r_new, y_new, atol_it, _STAGE_TOL)
             if rn_new < rn:
                 improved = True
                 break
@@ -371,8 +374,8 @@ def solve_stage(model, t_stage, y_n, h, a_ii, rhs_accum, newton_factors=None):
     rhs = y_n + rhs_accum
     if a_ii == 0.0:
         return rhs, newton_factors
-    scale = max(np.max(np.abs(y_n)), np.max(np.abs(rhs)), _TINY)
-    atol_it = _STAGE_TOL * np.clip(model.y_scale, _TINY, scale)
+    scale = max(np.abs(y_n).max(), np.abs(rhs).max(), _TINY)
+    atol_it = _STAGE_TOL * np.minimum(np.maximum(model.y_scale, _TINY), scale)
     h_aii = h * a_ii
     y = rhs
     if model.multiplicand_is_state:
@@ -382,7 +385,7 @@ def solve_stage(model, t_stage, y_n, h, a_ii, rhs_accum, newton_factors=None):
         for k in range(_STAGE_MAX_ITER // 2):
             g = model.matrix(t_stage, y)
             y_new = lu_solve(eye - h_aii * g, rhs)
-            dn = wrms_norm(y_new - y, y_new, atol_it, _STAGE_TOL)
+            dn = weighted_rms(y_new - y, y_new, atol_it, _STAGE_TOL)
             y = y_new
             if dn <= 1.0:
                 return y, newton_factors

@@ -13,8 +13,10 @@ import json, sys
 from pathlib import Path
 seed = int(sys.argv[sys.argv.index("--seed") + 1])
 value = float(Path("src/speed").read_text()) * seed
+bad = Path("src/incorrect_seed")  # a seed whose run fails its correctness gate
+correct = not bad.exists() or int(bad.read_text()) != seed
 print("some text first")
-print(json.dumps({"correct": True, "attempted": 4, "failed": 0,
+print(json.dumps({"correct": correct, "attempted": 4, "failed": 0,
                   "metrics": {"solve_s_p50": {"value": value, "unit": "s"}}}))
 """
 DECLARED = {
@@ -48,6 +50,24 @@ def test_records_alternating_pairs_with_quartiles_and_wins(tmp_path):
     assert summary["parent"] == {"median": 4.0, "q1": 3.0, "q3": 5.0}
     assert summary["change"] == {"median": 2.0, "q1": 1.5, "q3": 2.5}
     assert (summary["change_wins"], summary["pairs"]) == (3, 3)
+    assert summary["incorrect_runs"] == {"parent": 0, "change": 0}
+
+
+def test_pairs_with_an_incorrect_run_are_left_out(tmp_path):
+    parent, change = make_root(tmp_path, "parent", 2.0), make_root(tmp_path, "change", 1.0)
+    (change / "src" / "incorrect_seed").write_text("2")
+    out = tmp_path / "bench.json"
+    assert bench_record.main([str(parent), str(change), "--out", str(out), "--pairs", "3"]) == 1
+    record = json.loads(out.read_text())
+    assert [r["correct"] for r in record["workloads"]["w"]["runs"]] == [
+        True, True, False, True, True, True,
+    ]
+    summary = record["workloads"]["w"]["summary"]["solve_s_p50"]
+    # seeds 1 and 3 only: parent 2 and 6, change 1 and 3
+    assert summary["parent"] == {"median": 4.0, "q1": 3.0, "q3": 5.0}
+    assert summary["change"] == {"median": 2.0, "q1": 1.5, "q3": 2.5}
+    assert (summary["change_wins"], summary["pairs"]) == (2, 2)
+    assert summary["incorrect_runs"] == {"parent": 0, "change": 1}
 
 
 def test_refuses_when_the_benchmarks_differ(tmp_path, capsys):
@@ -61,7 +81,7 @@ def test_refuses_when_the_benchmarks_differ(tmp_path, capsys):
 
 def test_ties_count_for_neither_side():
     runs = [
-        {"pair": k, "side": side, "metrics": {"solve_s_p50": value}}
+        {"pair": k, "side": side, "correct": True, "metrics": {"solve_s_p50": value}}
         for k, (p, c) in enumerate([(1.0, 1.0), (2.0, 1.0), (1.0, 3.0)])
         for side, value in (("parent", p), ("change", c))
     ]

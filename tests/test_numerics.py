@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from pdint.numerics import (
     lu_factor,
     lu_solve,
     vector,
+    weighted_rms,
     wrms_norm,
 )
 
@@ -212,6 +214,19 @@ def test_wrms_per_component_atol():
     atol = np.array([1e-10, 1e-2])
     assert wrms_norm(delta, np.zeros(2), atol, 0.0) == pytest.approx(1.0)
     assert wrms_norm(delta, np.zeros(2), 1e-2, 0.0) == pytest.approx(np.sqrt(0.5))
+
+
+def test_weighted_rms_equals_wrms_norm_bit_for_bit():
+    rng = np.random.default_rng(10)
+    for k in range(10_000):
+        d = int(rng.integers(1, 1101))
+        delta, y_ref = rng.standard_normal(d), rng.standard_normal(d) * 10.0 ** rng.uniform(-8, 8)
+        atol = rng.uniform(1e-9, 1e-3, d) if k % 2 else float(rng.uniform(1e-9, 1e-3))
+        rtol = float(rng.uniform(0.0, 1e-3))
+        v = delta / (atol + rtol * np.abs(y_ref))
+        v *= v
+        expected = math.sqrt(v.sum() / v.size)  # the formula as ndarray.sum writes it
+        assert weighted_rms(delta, y_ref, atol, rtol) == wrms_norm(delta, y_ref, atol, rtol) == expected
 
 
 def test_fit_slope_exact_quadratic():

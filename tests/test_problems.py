@@ -207,6 +207,31 @@ def test_kdv_mass_conservation_and_rhs_oracle():
         assert abs(rhs_h.sum()) <= 1e-11 * scale
 
 
+def roll_stencil(cfg, y):
+    """KdV interface rates and rhs written with np.roll, the formulas term by term."""
+    dx = cfg.dx
+    lap = (np.roll(y, 1) - 2.0 * y + np.roll(y, -1)) / dx**2
+    flux = -(cfg.alpha * y * y + cfg.rho * y + cfg.nu * lap)
+    rate = 0.5 * (flux + np.roll(flux, -1)) / dx
+    return rate, rate - np.roll(rate, 1)
+
+
+@pytest.mark.parametrize("settings", [{}, {"alpha": -0.7, "rho": 0.3, "nu": 2.5}],
+                         ids=["default", "alpha-rho-nu"])
+@pytest.mark.parametrize("n", [8, 64, 1024])
+def test_kdv_stencil_equals_the_roll_formulas_bit_for_bit(n, settings):
+    cfg = KdvConfig(n_cells=n, **settings)
+    model = kdv(cfg)
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        y = 3.0 * rng.standard_normal(n)
+        y[rng.integers(0, n, size=max(1, n // 8))] = 0.0
+        rate, rhs = roll_stencil(cfg, y)
+        for got, ref in ((kdv_interface_rates(cfg, y), rate), (model.eval_rhs(y), rhs)):
+            assert np.array_equal(got, ref)
+            assert np.array_equal(np.signbit(got), np.signbit(ref))  # zeros keep their sign
+
+
 def test_kdv_initial_profile():
     cfg = KdvConfig(n_cells=256)
     y = kdv_initial(cfg)

@@ -603,6 +603,47 @@ def test_fd_jacobian_on_the_declared_pattern_equals_the_dense_one(n_cells):
     assert np.array_equal(jac.toarray(), sdirk._fd_jacobian(dense, 0.0, y, f))
 
 
+def _fd_jacobian_by_full_columns(model, t, y, f0):
+    """Reference pattern Jacobian: each full-length difference column, then its pattern rows."""
+    from scipy import sparse
+
+    jac = sparse.csc_array(model.jac_sparsity, dtype=float, copy=True)
+    jac.sum_duplicates()
+    ptr, rows = jac.indptr, jac.indices
+    ynorm = max(np.max(np.abs(y)), 1e-30)
+    sq = math.sqrt(np.finfo(float).eps)
+    for j in range(y.size):
+        dy = sq * max(abs(y[j]), 1e-4 * ynorm)
+        yp = y.copy()
+        yp[j] += dy
+        col = (eval_rhs(model, t, yp) - f0) / dy
+        jac.data[ptr[j]:ptr[j + 1]] = col[rows[ptr[j]:ptr[j + 1]]]
+    return jac
+
+
+@pytest.mark.parametrize(
+    "n_cells,settings",
+    [(16, {}), (1024, {}), (64, {"alpha": -0.5, "rho": 0.25, "nu": 2.0, "shift": 0.5})],
+    ids=["16", "1024", "64-alpha-rho-nu"],
+)
+def test_fd_jacobian_on_the_pattern_equals_full_columns_gathered(monkeypatch, n_cells, settings):
+    from pdint.problems import KdvConfig, kdv
+
+    model = kdv(KdvConfig(n_cells=n_cells, **settings))
+    y = model.y0 * np.random.default_rng(n_cells).uniform(0.5, 1.5, n_cells)
+    y[n_cells // 2] = 0.0  # dy falls back to 1e-4 * max|y| here
+    f = eval_rhs(model, 0.0, y)
+    y_before, f_before = y.copy(), f.copy()
+    expected = _fd_jacobian_by_full_columns(model, 0.0, y, f)
+    calls = _count_calls(monkeypatch, "eval_rhs")
+    jac = sdirk._fd_jacobian(model, 0.0, y, f)
+    assert len(calls) == n_cells
+    assert np.array_equal(jac.indptr, expected.indptr)
+    assert np.array_equal(jac.indices, expected.indices)
+    assert jac.data.tobytes() == expected.data.tobytes()
+    assert y.tobytes() == y_before.tobytes() and f.tobytes() == f_before.tobytes()
+
+
 @pytest.mark.parametrize("mode", ["final", "all"])
 @pytest.mark.parametrize("method", ["sdirk21", "sdirk32"])
 def test_sparse_kdv_agrees_with_the_same_model_made_dense(method, mode):

@@ -13,7 +13,9 @@ would not be measured alike.
 
 The output file holds every run's end-to-end metrics, each side's median
 and quartiles per metric, and the number of pairs in which the change
-read better (ties count for neither side).  It is rewritten after every
+read better (ties count for neither side).  A pair counts only when both
+of its runs reported ``"correct": true``; each side's number of
+incorrect runs is recorded with the metrics.  It is rewritten after every
 pair, so an interrupted recording keeps the pairs it finished.
 """
 
@@ -69,13 +71,19 @@ def quartiles(values: list) -> dict:
 
 
 def summarize(runs: list, declared: list) -> dict:
-    """Per metric: each side's median and quartiles, and the change's wins over pairs."""
+    """Per metric: each side's median and quartiles, and the change's wins over pairs.
+
+    Only pairs in which both runs were correct count; each side's number
+    of incorrect runs is recorded beside them.
+    """
+    incorrect = {side: sum(not r["correct"] for r in runs if r["side"] == side) for side in SIDES}
+    spoiled = {r["pair"] for r in runs if not r["correct"]}
     out = {}
     for metric in declared:
         name, lower = metric["name"], metric["better"] == "lower"
         pairs = {}
         for run in runs:
-            if name in run["metrics"]:
+            if name in run["metrics"] and run["pair"] not in spoiled:
                 pairs.setdefault(run["pair"], {})[run["side"]] = run["metrics"][name]
         complete = [p for p in pairs.values() if len(p) == 2]
         wins = sum((p["change"] < p["parent"]) if lower else (p["change"] > p["parent"])
@@ -87,6 +95,7 @@ def summarize(runs: list, declared: list) -> dict:
             **{side: quartiles([p[side] for p in complete]) for side in SIDES},
             "change_wins": wins,
             "pairs": len(complete),
+            "incorrect_runs": incorrect,
         }
     return out
 
