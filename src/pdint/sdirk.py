@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -209,8 +210,12 @@ class SolverConfig:
                 raise ConfigurationError("fixed mode requires a positive, finite h_fixed")
             if self.positivity_guard_rejection:
                 raise ConfigurationError("the positivity guard halves steps; fixed mode cannot")
+        if not self.tab.stiffly_accurate and self.correction == CorrectionMode.ALL:
+            raise ConfigurationError("all-stages correction requires a stiffly accurate tableau")
 
-    def resolve_tableau(self) -> ButcherTableau:
+    @cached_property
+    def tab(self) -> ButcherTableau:
+        """The tableau ``method`` names; ``__post_init__`` builds it, once per config."""
         if isinstance(self.method, ButcherTableau):
             return self.method
         return tableau(self.method)
@@ -402,19 +407,21 @@ def solve_stage(model, t_stage, y_n, h, a_ii, rhs_accum, newton_factors=None):
         return _newton_stage(model, t_stage, rhs, h_aii, start, atol_it, None)
 
 
-def predictor_step(model, t_n, y_n, h, tab, eps=None, diag=None):
-    """Plain SDIRK step: stages, predicted solution, embedded solution.
+def predictor_step(model, t_n, y_n, h, config: SolverConfig):
+    """Plain SDIRK step: stages, predicted and embedded solution, diagnostics.
 
     For stiffly accurate tableaus the predicted solution is the last
     stage vector itself, bit for bit.
 
-    Given a diagnostics record ``diag`` and the ratio-scaling floor
-    ``eps``, every stage is corrected as soon as it is solved, and later
-    stages build on the corrected ones.  The predicted solution stays the
-    last stage as solved, and the embedded estimate takes its final slope
-    there.
+    With all-stage correction, every stage is corrected as soon as it is
+    solved, and later stages build on the corrected ones; ``diag``
+    records that correction, and is empty in the other modes.  The
+    predicted solution stays the last stage as solved, and the embedded
+    estimate takes its final slope there.
     """
+    tab = config.tab
     a, c = tab.A, tab.c
+    diag = CorrectionDiagnostics()
     stages, fs, mats = [], [], []
     factors = None  # every stage of the step has the same h*gamma
     for i in range(tab.s):
@@ -424,11 +431,8 @@ def predictor_step(model, t_n, y_n, h, tab, eps=None, diag=None):
         t_i = t_n + c[i] * h
         y_p, factors = solve_stage(model, t_i, y_n, h, a[i, i], rhs_accum, factors)
         y_i, f_i = y_p, None
-        if diag is not None:
-            y_i, f_i = _all_stage_correction(
-                model, t_i, y_n, h, a[i, : i + 1], y_p, stages, mats, eps, diag,
-                i < tab.s - 1,
-            )
+        if config.correction == CorrectionMode.ALL:
+            y_i, f_i = _all_stage_correction(model, config, i, t_i, y_n, h, y_p, stages, mats, diag)
         stages.append(y_i)
         fs.append(eval_rhs(model, t_i, y_p) if f_i is None else f_i)
     if tab.stiffly_accurate:
@@ -436,27 +440,28 @@ def predictor_step(model, t_n, y_n, h, tab, eps=None, diag=None):
     else:
         y_pred = y_n + h * sum(bj * fj for bj, fj in zip(tab.b, fs))
     y_hat = y_n + h * sum(bj * fj for bj, fj in zip(tab.b_hat, fs))
-    return stages, y_pred, y_hat
+    return stages, y_pred, y_hat, diag
 
 
-def _final_stage_correction(model, t_n, y_n, h, tab, stages, y_pred, eps):
+def _final_stage_correction(model, config, t_n, y_n, h, stages, y_pred):
     diag = CorrectionDiagnostics()
     mats = []
     for i, y_i in enumerate(stages):
         diag.absorb_negatives(y_i)
-        mats.append(model.matrix(t_n + tab.c[i] * h, clip(y_i)))
-    sigmas = [ratio_scaling(model.multiplicand(y_i), y_pred, eps) for y_i in stages]
-    y_raw = corrector_solve(y_n, h, averaged_g_final(tab.b, mats, sigmas))
+        mats.append(model.matrix(t_n + config.tab.c[i] * h, clip(y_i)))
+    sigmas = [ratio_scaling(model.multiplicand(y_i), y_pred, config.eps) for y_i in stages]
+    y_raw = corrector_solve(y_n, h, averaged_g_final(config.tab.b, mats, sigmas))
     diag.absorb_negatives(y_raw)
     return clip(y_raw), diag
 
 
-def _all_stage_correction(model, t_i, y_n, h, a_row, y_p, stages, mats, eps, diag, later):
-    """Correct one predicted stage ``y_p`` against the corrected earlier stages.
+def _all_stage_correction(model, config, i, t_i, y_n, h, y_p, stages, mats, diag):
+    """Correct the predicted stage ``i``, ``y_p``, against the corrected earlier stages.
 
-    Returns the corrected stage and, when ``later`` stages follow, its
+    Returns the corrected stage and, when later stages follow, its
     slope; its matrix is then appended to ``mats`` for them to read.
     """
+    a_row, eps = config.tab.A[i, : i + 1], config.eps
     diag.absorb_negatives(y_p)
     m_diag = model.matrix(t_i, clip(y_p))
     # a graph-Laplacian diagonal term multiplies the predicted stage itself
@@ -467,33 +472,27 @@ def _all_stage_correction(model, t_i, y_n, h, a_row, y_p, stages, mats, eps, dia
     y_raw = corrector_solve(y_n, h, g_bar)
     diag.absorb_negatives(y_raw)
     y_i = clip(y_raw)
-    if not later:
+    if i == config.tab.s - 1:
         return y_i, None
     m_i = model.matrix(t_i, y_i)
     mats.append(m_i)
     return y_i, m_i @ model.multiplicand(y_i)
 
 
-def corrected_step(model, t_n, y_n, h, tab, config: SolverConfig) -> StepOutcome:
+def corrected_step(model, t_n, y_n, h, config: SolverConfig) -> StepOutcome:
     """One attempted step: predictor, optional correction, error estimate.
 
     Whether the step is accepted, and the next step size, is left to
     :func:`integrate`.
     """
     mode = config.correction
-    if mode == CorrectionMode.ALL and not tab.stiffly_accurate:
-        raise ConfigurationError("all-stages correction requires a stiffly accurate tableau")
-    eps = config.eps
-    diag = CorrectionDiagnostics() if mode == CorrectionMode.ALL else None
-    stages, y_pred, y_hat = predictor_step(model, t_n, y_n, h, tab, eps, diag)
-    if mode == CorrectionMode.ALL:
-        y_corr = stages[-1]
-    elif mode == CorrectionMode.FINAL:
-        y_corr, diag = _final_stage_correction(model, t_n, y_n, h, tab, stages, y_pred, eps)
-    else:
-        y_corr, diag = y_pred, CorrectionDiagnostics()
+    stages, y_pred, y_hat, diag = predictor_step(model, t_n, y_n, h, config)
+    # all-stage correction has already corrected the last stage
+    y_corr = stages[-1] if mode == CorrectionMode.ALL else y_pred
+    if mode == CorrectionMode.FINAL:
+        y_corr, diag = _final_stage_correction(model, config, t_n, y_n, h, stages, y_pred)
     if mode != CorrectionMode.NONE:
-        diag.scaling_active = diag.clip_count > 0 or bool(np.any(y_pred < eps))
+        diag.scaling_active = diag.clip_count > 0 or bool(np.any(y_pred < config.eps))
     err = wrms_norm(y_pred - y_hat, y_pred, config.atol, config.rtol)
     return StepOutcome(y_pred, y_corr, err, diag)
 
@@ -522,7 +521,6 @@ def integrate(model, config: SolverConfig, t0: float, tf: float, y0) -> Trajecto
     h_min = 1e4 * np.finfo(float).eps * max(abs(t0), abs(tf))  # also the end tolerance
     if not (math.isfinite(t0) and math.isfinite(tf) and tf - t0 > h_min):
         raise ConfigurationError(f"t0 and tf must be finite with tf - t0 > step floor {h_min:g}")
-    tab = config.resolve_tableau()
     y = vector(y0).copy()
     if y.size != model.dim:
         raise ConfigurationError(f"y0 has size {y.size}, model dimension is {model.dim}")
@@ -552,7 +550,7 @@ def integrate(model, config: SolverConfig, t0: float, tf: float, y0) -> Trajecto
         else:
             h_try = min(h, tf - t)
         try:
-            out = corrected_step(model, t, y, h_try, tab, config)
+            out = corrected_step(model, t, y, h_try, config)
         except (StageConvergenceError, SingularMatrixError):
             out = None
         min_pred = math.nan if out is None else float(out.y_pred.min())
@@ -568,7 +566,7 @@ def integrate(model, config: SolverConfig, t0: float, tf: float, y0) -> Trajecto
             clips.append(out.diagnostics.clip_count)
             growth_locked = False
             if not fixed:
-                h = h_try * _step_factor(out.err, tab.p_hat)
+                h = h_try * _step_factor(out.err, config.tab.p_hat)
             continue
         if fixed:  # only a stage failure rejects a fixed step, and the grid cannot shrink
             status = TrajectoryStatus.SOLVER_FAILURE
@@ -579,7 +577,7 @@ def integrate(model, config: SolverConfig, t0: float, tf: float, y0) -> Trajecto
             h = h_try / 2.0
         else:  # never grow on rejection, halve while growth is locked
             h_cap = h_try / 2.0 if growth_locked else h_try
-            h = min(h_try * _step_factor(out.err, tab.p_hat), h_cap)
+            h = min(h_try * _step_factor(out.err, config.tab.p_hat), h_cap)
         if h < h_min:
             status = TrajectoryStatus.STEP_TOO_SMALL
             break

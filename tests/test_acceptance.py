@@ -215,11 +215,10 @@ def test_criterion_3_mapk_c1_drift_band():
     ok = all(e <= 1e-10 for e in errs.values()) and not any(clips.values())
 
     y = np.array([0.1, 0.1, 0.01, 0.04, 1.3, 0.0])
-    tab = tableau("sdirk21")
     step = {}
     for mode in ("none", "final", "all"):
         cfg = SolverConfig(method="sdirk21", mode="fixed", h_fixed=2.5, correction=mode)
-        out = corrected_step(model, 0.0, y, 2.5, tab, cfg)
+        out = corrected_step(model, 0.0, y, 2.5, cfg)
         y1 = out.y_corrected
         step[mode] = (
             float(y1.min()),
@@ -496,11 +495,10 @@ def test_criterion_7_property_suites(newton_stage_oracle):
         dim=2, eval_G=lambda t, y: g,
         invariants=(LinearInvariant(np.ones(2), True, "mass"),),
     )
-    tab = tableau("sdirk21")
     cfg = SolverConfig(method="sdirk21", correction="final", mode="fixed", h_fixed=0.05)
     y = np.array([1.5, 0.5])
     for k in range(40):
-        out = corrected_step(model, 0.05 * k, y, 0.05, tab, cfg)
+        out = corrected_step(model, 0.05 * k, y, 0.05, cfg)
         assert np.max(np.abs(out.y_corrected - out.y_pred)) <= 1e-12 * np.max(np.abs(out.y_pred))
         y = out.y_corrected
     details.append("inactivity x40 steps")
@@ -583,11 +581,10 @@ def test_criterion_8_order_floor_on_clipping_active_problem():
     clip_active = min(fracs) >= 0.4
     # the correction moves the solution by no more than the negativity it
     # removes plus the scaling floor
-    tab = tableau("sdirk21")
     cfg = SolverConfig(method="sdirk21", mode="fixed", h_fixed=tf / 200, correction="final")
     y = y0.copy()
     for k in range(200):
-        out = corrected_step(model, k * tf / 200, y, tf / 200, tab, cfg)
+        out = corrected_step(model, k * tf / 200, y, tf / 200, cfg)
         bound = 50.0 * (out.diagnostics.max_negative_clipped + 1e-10)
         if out.diagnostics.clip_count:
             assert np.max(np.abs(out.y_corrected - out.y_pred)) <= bound

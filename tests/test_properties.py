@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdint.correction import CorrectionDiagnostics, CorrectionMode, clip
+from pdint.correction import clip
 from pdint.numerics import SingularMatrixError
 from pdint.pds import (
     GraphLaplacianModel,
@@ -23,7 +23,6 @@ from pdint.sdirk import (
     StageConvergenceError,
     corrected_step,
     predictor_step,
-    tableau,
 )
 
 # mass drift past h*max|G| ~ 1e4 grows like eps*h*|G| in the corrector's LU
@@ -76,7 +75,7 @@ def _corrected(model, y_n, h, method, mode):
     """The corrected state, checked finite and nonnegative, or None after a stage failure."""
     config = SolverConfig(method=method, correction=mode)
     try:
-        out = corrected_step(model, 0.0, y_n, h, tableau(method), config)
+        out = corrected_step(model, 0.0, y_n, h, config)
     except (StageConvergenceError, SingularMatrixError):
         return None  # integrate halves the step; no other exception may escape
     y = out.y_corrected
@@ -99,12 +98,11 @@ def _stage_reach(model, y_n, h, method, mode):
     The ratio scaling divides by the clipped stages, so a small stage
     component weighs in the corrector's averaged matrix like a large H.
     """
-    eps = SolverConfig.eps
-    diag = CorrectionDiagnostics() if mode == CorrectionMode.ALL else None
-    stages, _, _ = predictor_step(model, 0.0, y_n, h, tableau(method), eps, diag)
+    config = SolverConfig(method=method, correction=mode)
+    stages, _, _, _ = predictor_step(model, 0.0, y_n, h, config)
     clipped = [clip(y) for y in stages]
     size = max(np.abs(model.matrix(0.0, y)).max() for y in clipped)
-    return h * size / max(min(y.min() for y in clipped), eps)
+    return h * size / max(min(y.min() for y in clipped), config.eps)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)

@@ -154,7 +154,7 @@ def test_solve_stage_converges_every_component_of_a_badly_scaled_system(h):
 def test_predictor_zero_field_is_identity():
     model = GraphLaplacianModel(dim=2, eval_G=lambda t, y: np.zeros((2, 2)), label="null")
     y_n = np.array([0.3, 0.7])
-    stages, y_pred, y_hat = predictor_step(model, 0.0, y_n, 0.5, tableau("sdirk21"))
+    stages, y_pred, y_hat, _ = predictor_step(model, 0.0, y_n, 0.5, SolverConfig())
     assert all(np.array_equal(s, y_n) for s in stages)
     assert np.array_equal(y_pred, y_n)
     assert np.array_equal(y_hat, y_n)
@@ -171,17 +171,17 @@ def stability_function(tab, z):
 def test_predictor_matches_stability_function_scalar_decay(name):
     # y' = -y as a one-species destruction model
     model = GraphLaplacianModel(dim=1, eval_G=lambda t, y: np.array([[-1.0]]), label="decay")
-    tab = tableau(name)
+    config = SolverConfig(method=name)
     h = 0.1
-    _, y_pred, _ = predictor_step(model, 0.0, np.array([1.0]), h, tab)
-    assert y_pred[0] == pytest.approx(stability_function(tab, -h), rel=1e-12)
+    _, y_pred, _, _ = predictor_step(model, 0.0, np.array([1.0]), h, config)
+    assert y_pred[0] == pytest.approx(stability_function(config.tab, -h), rel=1e-12)
 
 
 @pytest.mark.parametrize("name", ["sdirk21", "sdirk32", "sdirk43"])
 def test_predictor_equals_last_stage_for_stiffly_accurate(name):
     model = robertson()
-    stages, y_pred, _ = predictor_step(
-        model, 0.0, np.array([0.7, 1e-5, 0.3]), 1e-3, tableau(name)
+    stages, y_pred, _, _ = predictor_step(
+        model, 0.0, np.array([0.7, 1e-5, 0.3]), 1e-3, SolverConfig(method=name)
     )
     assert y_pred is stages[-1]
 
@@ -190,10 +190,9 @@ def test_corrected_step_inactive_on_positive_trajectory():
     model, _ = linear_exchange()
     y_n = np.array([0.75, 0.25])
     for name in ("sdirk21", "sdirk32", "sdirk43"):
-        tab = tableau(name)
         for mode in ("none", "final", "all"):
             cfg = SolverConfig(method=name, correction=mode)
-            out = corrected_step(model, 0.0, y_n, 0.2, tab, cfg)
+            out = corrected_step(model, 0.0, y_n, 0.2, cfg)
             assert np.max(np.abs(out.y_corrected - out.y_pred)) <= 1e-12 * np.max(
                 np.abs(out.y_pred)
             )
@@ -217,9 +216,8 @@ def test_corrected_step_restores_positivity_and_mass():
             2.8038127202820368e07,
         ]
     )
-    tab = tableau("sdirk21")
     cfg = SolverConfig(method="sdirk21", correction="final")
-    out = corrected_step(model, t_n, y_n, h, tab, cfg)
+    out = corrected_step(model, t_n, y_n, h, cfg)
     assert out.y_pred.min() < 0.0, "expected an undershooting predictor"
     assert out.y_corrected.min() >= 0.0
     assert out.diagnostics.clip_count > 0
@@ -280,7 +278,7 @@ def test_final_and_all_stage_correction_share_the_corrector_on_flux_form(h):
     model = kdv(KdvConfig(n_cells=32))
     tab = implicit_euler()
     final, every = (
-        corrected_step(model, 0.0, model.y0, h, tab, SolverConfig(correction=mode))
+        corrected_step(model, 0.0, model.y0, h, SolverConfig(method=tab, correction=mode))
         for mode in ("final", "all")
     )
     assert final.y_pred.min() < 0.0, "expected a negative predictor"
@@ -296,7 +294,7 @@ def test_final_and_all_stage_correction_share_the_corrector_on_graph_laplacian()
     y_n = np.array([0.75, 0.25])
     tab = implicit_euler()
     final, every = (
-        corrected_step(model, 0.0, y_n, 0.5, tab, SolverConfig(correction=mode))
+        corrected_step(model, 0.0, y_n, 0.5, SolverConfig(method=tab, correction=mode))
         for mode in ("final", "all")
     )
     assert final.y_pred.min() > SolverConfig().eps
@@ -318,7 +316,6 @@ def test_ratio_scaling_floor_reaches_the_corrector(mode):
 
 
 def test_all_stages_requires_stiffly_accurate():
-    model, _ = linear_exchange()
     tab = ButcherTableau(
         name="midpoint-ish",
         A=np.array([[0.5]]),
@@ -327,9 +324,32 @@ def test_all_stages_requires_stiffly_accurate():
         c=np.array([0.5]),
         p_hat=1,
     )
-    cfg = SolverConfig(correction="all")
     with pytest.raises(ConfigurationError):
-        corrected_step(model, 0.0, np.array([1.0, 1.0]), 0.1, tab, cfg)
+        SolverConfig(method=tab, correction="all")
+
+
+def test_solver_config_rejects_an_unknown_method_when_built():
+    with pytest.raises(ConfigurationError, match="unknown method"):
+        SolverConfig(method="no-such")
+
+
+def test_solver_config_builds_its_tableau_once_per_run(monkeypatch):
+    calls = []
+
+    def counted():
+        calls.append(None)
+        return tableau("sdirk32")
+
+    monkeypatch.setitem(sdirk._TABLEAUS, "sdirk32-counted", counted)
+    cfg = SolverConfig(method="sdirk32-counted", correction="final")
+    model = robertson()
+    traj = integrate(model, cfg, 0.0, 10.0, model.y0)
+    assert traj.status == TrajectoryStatus.COMPLETED
+    assert len(traj.attempts) > 1
+    assert len(calls) == 1
+    assert cfg.tab is cfg.tab
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.tab = tableau("sdirk21")
 
 
 def test_integrate_zero_field_fixed_step_count():
@@ -469,8 +489,8 @@ def test_guard_rejection_halves_the_step(monkeypatch):
     errors = {}
     real = sdirk.corrected_step
 
-    def step(model, t, y, h, tab, config):
-        out = real(model, t, y, h, tab, config)
+    def step(model, t, y, h, config):
+        out = real(model, t, y, h, config)
         errors[t, h] = out.err
         return out
 
