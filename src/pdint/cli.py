@@ -180,7 +180,7 @@ def cmd_steptrace(args) -> int:
     if hs:
         print(f"h_first: {_fmt(hs[0])}")
         print(f"h_last: {_fmt(hs[-1])}")
-    return 0
+    return 0 if traj.status == TrajectoryStatus.COMPLETED else 1
 
 
 def cmd_timing(args) -> int:

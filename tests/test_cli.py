@@ -108,6 +108,21 @@ def test_steptrace_schema(tmp_path, capsys):
     assert [int(r[0]) for r in rows] == list(range(len(rows)))
 
 
+def test_steptrace_of_an_incomplete_run_exits_1(tmp_path, capsys):
+    # the README's guard example: the guard halves the step until it is too small
+    out = tmp_path / "trace.csv"
+    rc = main(
+        [
+            "steptrace", "--problem", "kdv", "--param", "n_cells=64", "--method", "sdirk21",
+            "--correction", "none", "--guard", "--h0", "0.0035", "--out", str(out),
+        ]
+    )
+    assert rc == 1
+    assert "status: step_too_small" in capsys.readouterr().out
+    _header, rows = read_csv(out)
+    assert rows and rows[-1][3] == "0"
+
+
 def test_invalid_problem_exits_2(tmp_path):
     assert main(["integrate", "--problem", "robertson", "--t0", "5", "--tf", "5",
                  "--out", str(tmp_path / "x.csv")]) == 2
