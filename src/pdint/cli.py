@@ -72,10 +72,7 @@ def _write_trajectory_csv(path, traj):
 
 
 def _invariant_table(model, traj):
-    rows = []
-    for inv in model.invariants:
-        rows.append((inv.label, invariant_error(traj, inv.w)))
-    return rows
+    return [(inv.label, invariant_error(traj, inv.w)) for inv in model.invariants]
 
 
 def _run(args):
@@ -113,7 +110,7 @@ def cmd_invariants(args) -> int:
     return 0 if traj.status == TrajectoryStatus.COMPLETED else 1
 
 
-def _reference_state(model, t0, tf, args):
+def _reference_run(model, t0, tf, args):
     ref_cfg = SolverConfig(
         method="sdirk43",
         mode=args.mode,
@@ -122,10 +119,7 @@ def _reference_state(model, t0, tf, args):
         h_fixed=None if args.mode == "adaptive" else args.h / 8.0,
         correction=CorrectionMode.NONE,
     )
-    ref = integrate(model, ref_cfg, t0, tf, model.y0)
-    if ref.status != TrajectoryStatus.COMPLETED:
-        raise RuntimeError(f"reference run failed: {ref.status.value}")
-    return ref.states[-1]
+    return integrate(model, ref_cfg, t0, tf, model.y0)
 
 
 def cmd_convergence(args) -> int:
@@ -146,7 +140,11 @@ def cmd_convergence(args) -> int:
     else:
         configs = [dataclasses.replace(base, h_fixed=v) for v in sweep]
 
-    y_ref = _reference_state(model, t0, tf, args)
+    ref = _reference_run(model, t0, tf, args)
+    if ref.status != TrajectoryStatus.COMPLETED:
+        print(f"status: {ref.status.value}")
+        return 1
+    y_ref = ref.states[-1]
     controls, h_avgs, errors = [], [], []
     for value, config in zip(sweep, configs):
         traj = integrate(model, config, t0, tf, model.y0)

@@ -91,6 +91,14 @@ def test_convergence_produces_slope(tmp_path, capsys):
     assert len(rows) == 3
 
 
+def test_convergence_with_a_failed_reference_run_exits_1(tmp_path, capsys):
+    out = tmp_path / "conv.csv"
+    rc = main(["convergence", "--problem", "robertson", "--ref-tol", "1e-300", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().out == "status: step_too_small\n"
+    assert not out.exists()
+
+
 def test_steptrace_schema(tmp_path, capsys):
     out = tmp_path / "trace.csv"
     rc = main(
