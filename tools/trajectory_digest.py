@@ -1,6 +1,7 @@
 """Digest a checkout's trajectories, README command outputs and src/ size.
 
 Usage: python tools/trajectory_digest.py [ROOT]
+       python tools/trajectory_digest.py --compare PARENT CHANGE
 
 Runs against ROOT/src (default: the checkout holding this script) with
 BLAS pinned to one thread and prints, in order: one sha256 per run of a
@@ -23,11 +24,27 @@ sdirk32 all with eps = 1e-3; and every case of the benchmark workloads
 in ``perfbench/workloads.py`` for seed ``WORKLOAD_SEED`` (104 runs),
 read from the checkout holding this script so that both sides of a
 diff run the same inputs.
+
+``--compare PARENT CHANGE`` runs the same set against PARENT/src and
+CHANGE/src, both at once, and says by how much each run moved instead of
+whether it did.  It prints one line per run: the status on each side,
+accepted and rejected step counts, the largest relative difference
+|a_i - b_i| / max(|a_i|, |b_i|) between the final states, and the largest
+drift of an exact invariant (the ``invariant_error`` of its weights) on
+each side.  A last line counts the status changes, the drift
+regressions and the parent runs whose drift is already above
+``DRIFT_TOL``.  It exits 1 when a status changes, or when a change-side
+drift is above both ``DRIFT_TOL`` (1e-12) and the parent's drift; a NaN
+drift on the change side counts as above.  README commands and the
+``src lines`` count are left to the digest mode.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
+import json
+import math
 import os
 import shlex
 import subprocess
@@ -42,6 +59,7 @@ MODES = ("none", "final", "all")
 HOUR = 3600.0
 KDV_H = 0.35 / 128
 WORKLOAD_SEED = 1
+DRIFT_TOL = 1e-12
 
 
 def library_runs():
@@ -94,21 +112,99 @@ def trajectory_digest(traj) -> str:
     return h.hexdigest()
 
 
-def digest_all() -> None:
-    """Print one digest line per run; must run with ROOT/src importable."""
-    from pdint import SolverConfig, get_model, integrate
+def runs():
+    """(label, model, config, t0, tf, y0) of every run; must run with ROOT/src importable."""
+    from pdint import SolverConfig, get_model
 
     for label, problem, params, kwargs, t0, tf in library_runs():
         model = get_model(problem, params)
-        traj = integrate(model, SolverConfig(**kwargs), t0, tf, model.y0)
-        print(f"{trajectory_digest(traj)}  {label}", flush=True)
+        yield label, model, SolverConfig(**kwargs), t0, tf, model.y0
 
     import workloads
 
     for name, pool in workloads.WORKLOADS.items():
         for case in pool(WORKLOAD_SEED):
-            traj = integrate(case.model, case.config(), *case.span, case.y0)
-            print(f"{trajectory_digest(traj)}  {name} {case.label}", flush=True)
+            yield f"{name} {case.label}", case.model, case.config(), *case.span, case.y0
+
+
+def digest_all() -> None:
+    """Print one digest line per run; must run with ROOT/src importable."""
+    from pdint import integrate
+
+    for label, model, config, t0, tf, y0 in runs():
+        traj = integrate(model, config, t0, tf, y0)
+        print(f"{trajectory_digest(traj)}  {label}", flush=True)
+
+
+def run_summary(model, traj) -> dict:
+    """What ``--compare`` reports of one run, as JSON-ready values."""
+    from pdint import invariant_error
+
+    drifts = [invariant_error(traj, inv.w) for inv in model.invariants if inv.exact]
+    return {
+        "status": traj.status.value,
+        "accepted": traj.steps_accepted,
+        "rejected": traj.steps_rejected,
+        "final": traj.states[-1].tolist(),
+        "drift": max(drifts, default=0.0),
+    }
+
+
+def summarize_all() -> None:
+    """Print one JSON summary line per run; must run with ROOT/src importable."""
+    from pdint import integrate
+
+    for label, model, config, t0, tf, y0 in runs():
+        traj = integrate(model, config, t0, tf, y0)
+        print(json.dumps({"label": label, **run_summary(model, traj)}), flush=True)
+
+
+def compare_run(label: str, old: dict, new: dict) -> tuple:
+    """The report line of one run's parent and change summaries, and its faults."""
+    a, b = np.array(old["final"]), np.array(new["final"])
+    if a.shape == b.shape:
+        with np.errstate(invalid="ignore"):
+            scale = np.maximum(np.abs(a), np.abs(b))
+            rel = float(np.max(np.abs(a - b) / np.where(scale > 0.0, scale, 1.0), initial=0.0))
+    else:
+        rel = math.inf
+    faults = []
+    if old["status"] != new["status"]:
+        faults.append("status changed")
+    if not new["drift"] <= max(DRIFT_TOL, old["drift"]):  # NaN counts as drift
+        faults.append("drift grew")
+    line = (
+        f"{label}: status {old['status']} {new['status']}"
+        f"  accepted {old['accepted']} {new['accepted']}"
+        f"  rejected {old['rejected']} {new['rejected']}"
+        f"  final rel diff {rel:.3g}  drift {old['drift']:.3g} {new['drift']:.3g}"
+    )
+    return line + "".join(f"  FAIL {f}" for f in faults), faults
+
+
+def compare_roots(parent: Path, change: Path) -> int:
+    """Run every run against both roots and print :func:`compare_run` lines."""
+    code = "import trajectory_digest; trajectory_digest.summarize_all()"
+    procs = [
+        subprocess.Popen([sys.executable, "-c", code], env=_env(root), stdout=subprocess.PIPE)
+        for root in (parent, change)
+    ]
+    sides = []
+    for proc in procs:
+        out, _ = proc.communicate()
+        if proc.returncode:
+            return 1
+        sides.append([json.loads(line) for line in out.splitlines()])
+    status = drift = parent_drift = 0
+    for old, new in zip(*sides):
+        line, faults = compare_run(old["label"], old, new)
+        print(line)
+        status += "status changed" in faults
+        drift += "drift grew" in faults
+        parent_drift += not old["drift"] <= DRIFT_TOL
+    print(f"{len(sides[0])} runs: {status} status changes, {drift} drift regressions, "
+          f"{parent_drift} parent runs with drift above {DRIFT_TOL:g}")
+    return 1 if status or drift else 0
 
 
 def readme_commands(readme: Path) -> list:
@@ -140,18 +236,28 @@ def command_digest(env: dict, args: list) -> list:
     return [f"exit {proc.returncode}"] + [f"{n} {hashlib.sha256(b).hexdigest()}" for n, b in blobs]
 
 
-def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+def _env(root: Path) -> dict:
+    """Environment that runs this tool's functions against ROOT/src, BLAS on one thread."""
     here = Path(__file__).resolve().parent
-    root = Path(argv[0] if argv else here.parent).resolve()
     path = os.pathsep.join([str(root / "src"), str(here), str(here.parent / "perfbench")])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+    return dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("root", nargs="?", type=Path, default=Path(__file__).resolve().parents[1])
+    parser.add_argument("--compare", nargs=2, type=Path, metavar=("PARENT", "CHANGE"))
+    args = parser.parse_args(argv)
+    if args.compare:
+        return compare_roots(*(p.resolve() for p in args.compare))
+    root = args.root.resolve()
+    env = _env(root)
     code = "import trajectory_digest; trajectory_digest.digest_all()"
     if subprocess.run([sys.executable, "-c", code], env=env).returncode:
         return 1
-    for args in readme_commands(root / "README.md"):
-        print("$ pdint " + shlex.join(args))
-        for line in command_digest(env, args):
+    for cmd in readme_commands(root / "README.md"):
+        print("$ pdint " + shlex.join(cmd))
+        for line in command_digest(env, cmd):
             print("  " + line)
     # counted as perfbench/layers.src_lines counts
     src = sorted((root / "src").rglob("*.py"))
