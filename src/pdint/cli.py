@@ -72,7 +72,10 @@ def _write_trajectory_csv(path, traj):
 
 
 def _invariant_table(model, traj):
-    return [(inv.label, invariant_error(traj, inv.w)) for inv in model.invariants]
+    rows = []
+    for inv in model.invariants:
+        rows.append((inv.label, invariant_error(traj, inv.w)))
+    return rows
 
 
 def _run(args):

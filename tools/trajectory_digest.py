@@ -162,12 +162,10 @@ def summarize_all() -> None:
 def compare_run(label: str, old: dict, new: dict) -> tuple:
     """The report line of one run's parent and change summaries, and its faults."""
     a, b = np.array(old["final"]), np.array(new["final"])
+    rel = math.inf  # a change of dimension
     if a.shape == b.shape:
-        with np.errstate(invalid="ignore"):
-            scale = np.maximum(np.abs(a), np.abs(b))
-            rel = float(np.max(np.abs(a - b) / np.where(scale > 0.0, scale, 1.0), initial=0.0))
-    else:
-        rel = math.inf
+        scale = np.maximum(np.abs(a), np.abs(b))
+        rel = float(np.max(np.abs(a - b) / np.where(scale > 0.0, scale, 1.0)))
     faults = []
     if old["status"] != new["status"]:
         faults.append("status changed")
@@ -189,12 +187,10 @@ def compare_roots(parent: Path, change: Path) -> int:
         subprocess.Popen([sys.executable, "-c", code], env=_env(root), stdout=subprocess.PIPE)
         for root in (parent, change)
     ]
-    sides = []
-    for proc in procs:
-        out, _ = proc.communicate()
-        if proc.returncode:
-            return 1
-        sides.append([json.loads(line) for line in out.splitlines()])
+    outs = [proc.communicate()[0] for proc in procs]
+    if any(proc.returncode for proc in procs):
+        return 1
+    sides = [[json.loads(line) for line in out.splitlines()] for out in outs]
     status = drift = parent_drift = 0
     for old, new in zip(*sides):
         line, faults = compare_run(old["label"], old, new)
