@@ -67,6 +67,12 @@ def averaged_g_final(weights, g_list, sigma_list):
     """Weighted sum of column-scaled matrices, sum_j w_j * G_j @ diag(sigma_j).
 
     Sparse matrices (``scipy.sparse``) give a CSC sum with the same entries.
+    When they are all CSC on one canonical pattern (sorted rows, no
+    duplicates; explicit zeros allowed), the sum is taken on their stored
+    values, term by term in the order given, and keeps that pattern with
+    its zeros.  For finite entries it then equals, bit for bit, the
+    general sparse sum with its rows sorted and its zeros dropped, which
+    is how :func:`~pdint.numerics.identity_minus` and SuperLU see both.
     """
     if not (len(weights) == len(g_list) == len(sigma_list)):
         raise ValueError("weights, matrices and scalings must have equal length")
@@ -76,6 +82,21 @@ def averaged_g_final(weights, g_list, sigma_list):
     if issparse(g_list[0]):
         from scipy import sparse
 
+        g0 = g_list[0]
+        if all(
+            g.format == "csc"
+            and g.has_canonical_format
+            and np.array_equal(g.indptr, g0.indptr)
+            and np.array_equal(g.indices, g0.indices)
+            for g in g_list
+        ):
+            col = np.repeat(np.arange(d), np.diff(g0.indptr))  # column of each stored entry
+            out = np.zeros(g0.nnz)
+            for w, g, sig in zip(weights, g_list, sigma_list):
+                term = g.data * sig[col]
+                term *= w
+                out += term
+            return sparse.csc_array((out, g0.indices.copy(), g0.indptr.copy()), shape=(d, d))
         out = sparse.csc_array((d, d))
         for w, g, sig in zip(weights, g_list, sigma_list):
             out = out + (g @ sparse.diags_array(sig)) * w

@@ -126,12 +126,27 @@ def identity_minus(c: float, m):
     Equal, entry for entry, to ``np.eye(d) - c*m`` (up to the sign of zero
     entries), without building the identity or a scaled copy of ``m``: at
     large d each of those is a full d x d temporary.  The result is
-    Fortran-ordered, so :func:`lu_solve` can factor it in place.  A
-    ``scipy.sparse`` ``m`` gives a CSC matrix.
+    Fortran-ordered, so :func:`lu_solve` can factor it in place.
+
+    A ``scipy.sparse`` ``m`` gives a CSC matrix equal in ``indptr``,
+    ``indices`` and data to ``(scipy.sparse.eye_array(d) - c*m).tocsc()``,
+    which stores no zeros.  A canonical CSC ``m`` (sorted rows, no
+    duplicates) that stores every diagonal entry, zero or not, takes an
+    array path on copies of its index arrays.
     """
     if issparse(m):
         from scipy import sparse
 
+        d = m.shape[0]
+        if m.shape == (d, d) and m.format == "csc" and m.has_canonical_format:
+            on_diag = m.indices == np.repeat(np.arange(d), np.diff(m.indptr))
+            if np.count_nonzero(on_diag) == d:
+                a = sparse.csc_array(
+                    (np.multiply(m.data, -c), m.indices.copy(), m.indptr.copy()), shape=(d, d)
+                )
+                a.data[on_diag] += 1.0
+                a.eliminate_zeros()  # as the sparse difference drops zero results
+                return a
         return (sparse.eye_array(m.shape[0], format="csc") - c * m).tocsc()
     a = np.multiply(m, -c, order="F")
     a.flat[:: a.shape[0] + 1] += 1.0

@@ -13,19 +13,14 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .pds import (
-    GraphLaplacianModel,
-    HFormModel,
-    LinearInvariant,
-    assemble_h_from_destruction,
-)
+from .pds import GraphLaplacianModel, HFormModel, LinearInvariant
 
 
 def robertson() -> GraphLaplacianModel:
     """Stiff three-species reaction network, rates 0.04 / 1e4 / 3e7."""
 
     def eval_G(t, y):
-        y2, y3 = y[1], y[2]
+        _, y2, y3 = y.tolist()  # Python floats: cheaper scalar arithmetic, same results
         return np.array(
             [
                 [-0.04, 1e4 * y3, 0.0],
@@ -61,7 +56,7 @@ def mapk(alpha: float = 1.0) -> GraphLaplacianModel:
     k1, k2, k3, k4, k5, k6, k7 = MAPK_RATES
 
     def eval_G(t, y):
-        y1, y2 = y[0], y[1]
+        y1, y2 = y.tolist()[:2]  # Python floats
         return np.array(
             [
                 [-(k7 + k1 * y2), 0.0, 0.0, k2, 0.0, k6],
@@ -121,7 +116,7 @@ def stratospheric() -> GraphLaplacianModel:
         k8 = 6.062e-15
         k9 = 1.069e-11
         k10 = 1.289e-2 * s
-        y1, y2, y3, y4, y5, y6 = y
+        y1, y2, y3, y4, y5, y6 = y.tolist()  # Python floats
         gam = k3 + k5 + k4 * y2 + k7 * y1 + k8 * y5
         return np.array(
             [
@@ -235,16 +230,25 @@ def kdv(cfg: KdvConfig | None = None) -> HFormModel:
     cfg = cfg or KdvConfig()
     n = cfg.n_cells
     idx = np.arange(n)
-    ip1 = (idx + 1) % n
+    # H is cyclic tridiagonal: column j holds rows j-1, j, j+1, stored sorted,
+    # so the wrap columns 0 and n-1 hold them in another order; ``slot``
+    # gathers the values of rows (j-1, j, j+1) of every column into storage
+    rows = (idx + np.arange(-1, 2)[:, None]) % n
+    slot = np.lexsort((rows.ravel(), np.tile(idx, 3)))
+    indices = rows.ravel()[slot].astype(np.int32)
+    indptr = np.arange(0, 3 * n + 1, 3, dtype=np.int32)
+    indices.flags.writeable = indptr.flags.writeable = False  # shared by every H
 
     def eval_H(y):
         # interface i+1/2 drains cell i+1 into cell i at a positive rate, and
-        # cell i into cell i+1 at a negative one
+        # cell i into cell i+1 at a negative one.  H = D^T - diag(D @ 1): column
+        # j holds cell j's outflows in rows j-1 and j+1, minus their sum in row j
         rate = kdv_interface_rates(cfg, y)
-        pos = rate >= 0.0
-        donor, receiver = np.where(pos, ip1, idx), np.where(pos, idx, ip1)
-        dest = sparse.csc_array((np.abs(rate), (donor, receiver)), shape=(n, n))
-        return assemble_h_from_destruction(dest)
+        flow, pos = np.abs(rate), rate >= 0.0
+        up = np.roll(np.where(pos, flow, 0.0), 1)
+        down = np.where(pos, 0.0, flow)
+        values = np.concatenate((up, -(up + down), down))
+        return sparse.csc_array((values.take(slot), indices, indptr), shape=(n, n))
 
     def eval_rhs(y):
         rate = _kdv_rates(cfg, y)  # rhs_i = rate_{i+1/2} - rate_{i-1/2}

@@ -42,6 +42,8 @@ _SAFETY, _FAC_MIN, _FAC_MAX = 0.9, 0.2, 5.0
 _STAGE_MAX_ITER, _STAGE_TOL = 50, 1e-12
 # attempts before a run ends in solver_failure
 _MAX_ATTEMPTS = 2_000_000
+# entries of the buffer that collects a finite-difference Jacobian's rhs values (512 KiB)
+_FD_BUFFER = 1 << 16
 
 
 class ConfigurationError(ValueError):
@@ -86,7 +88,7 @@ class ButcherTableau:
         """The shared diagonal coefficient of A."""
         return float(self.A[0, 0])
 
-    @property
+    @cached_property
     def stiffly_accurate(self) -> bool:
         return bool(np.array_equal(self.b, self.A[-1]))
 
@@ -275,32 +277,46 @@ def _fd_jacobian(model, t, y, f0):
     """Forward-difference Jacobian, one rhs evaluation per column.
 
     Dense, unless the model declares ``jac_sparsity``: then a CSC matrix
-    with the same entries on that pattern.
+    with the same entries on that pattern.  The rhs values of a run of
+    columns wait in a buffer of at most ``_FD_BUFFER`` entries, which is
+    then copied into the Jacobian in one call.
     """
     d = y.size
     ynorm = max(np.abs(y).max(), _TINY)
     # dy_j = sqrt(eps) * max(|y_j|, 1e-4 * ynorm)
     dys = np.multiply(math.sqrt(np.finfo(float).eps), np.maximum(np.abs(y), 1e-4 * ynorm))
     pattern = model.jac_sparsity
+    nb = min(d, max(1, _FD_BUFFER // d))  # columns per buffer
+    buf = np.empty((nb, d))
     if pattern is None:
-        jac = np.empty((d, d), order="F")  # filled column by column
+        jac = np.empty((d, d), order="F")
     else:
         from scipy import sparse
 
         jac = sparse.csc_array(pattern, dtype=float, copy=True)
         jac.sum_duplicates()  # one stored entry per position, rows sorted
-        rows, data, ptr = jac.indices, jac.data, jac.indptr.tolist()
-    for j, dy in enumerate(dys.tolist()):
-        yp = y.copy()
-        yp[j] += dy
-        f = eval_rhs(model, t, yp)
+        rows, data, ptr = jac.indices, jac.data, jac.indptr
+        # where each stored entry lies in the flattened buffer
+        at = np.repeat(np.arange(d) % nb * d, np.diff(ptr)) + rows
+    yp = y.copy()  # perturbed in one entry at a time, restored after each call
+    ys, steps = y.tolist(), dys.tolist()
+    for j0 in range(0, d, nb):
+        j1 = min(j0 + nb, d)
+        for j in range(j0, j1):
+            yp[j] = ys[j] + steps[j]
+            buf[j - j0] = eval_rhs(model, t, yp)
+            yp[j] = ys[j]
         if pattern is None:
-            jac[:, j] = (f - f0) / dy
-        else:  # only column j's pattern rows r; differenced below
-            data[ptr[j]:ptr[j + 1]] = f[rows[ptr[j]:ptr[j + 1]]]
-    if pattern is not None:  # every stored entry at once: (f[r] - f0[r]) / dy_j
+            jac[:, j0:j1] = buf[: j1 - j0].T
+        else:  # only the pattern rows of these columns
+            buf.take(at[ptr[j0]:ptr[j1]], out=data[ptr[j0]:ptr[j1]])
+    # every entry at once: (f_j[r] - f0[r]) / dy_j
+    if pattern is None:
+        jac -= f0[:, np.newaxis]
+        jac /= dys
+    else:
         data -= f0[rows]
-        data /= np.repeat(dys, np.diff(jac.indptr))
+        data /= np.repeat(dys, np.diff(ptr))
     return jac
 
 

@@ -10,6 +10,7 @@ from pdint.correction import (
     ratio_scaling,
     stage_corrected_g,
 )
+from pdint.numerics import identity_minus
 from pdint.pds import assemble_g_from_rates
 
 
@@ -195,3 +196,39 @@ def test_diagnostics_negative_tracking():
     clean.absorb_negatives(np.array([1.0, 2.0]))
     assert clean.clip_count == 0
     assert clean.max_negative_clipped == 0.0
+
+
+def test_averaged_g_final_on_one_sparse_pattern_equals_the_general_sparse_sum():
+    from scipy import sparse
+
+    rng = np.random.default_rng(7)
+    d = 8
+    pattern = sparse.csc_array(((rng.random((d, d)) < 0.4) | np.eye(d, dtype=bool)).astype(float))
+    gs = []
+    for _ in range(3):
+        g = pattern.copy()
+        g.data[:] = rng.standard_normal(g.nnz)
+        g.data[rng.random(g.nnz) < 0.3] = 0.0  # explicit zeros
+        gs.append(g)
+    gs[2].data[:4] = -gs[1].data[:4]  # entries whose sum comes out exactly zero
+    weights = [0.25, 0.5, 0.5]
+    sigmas = [rng.uniform(0.5, 2.0, d) for _ in range(2)]
+    sigmas.insert(1, sigmas[1].copy())
+    out = averaged_g_final(weights, gs, sigmas)
+    assert out.format == "csc"
+    assert np.array_equal(out.indptr, pattern.indptr) and np.array_equal(out.indices, pattern.indices)
+    # the general sum drops zero results and leaves rows unsorted; splu sorts
+    # them (sum_duplicates), so compare in that form
+    ref = sparse.csc_array((d, d))
+    for w, g, sig in zip(weights, gs, sigmas):
+        ref = ref + (g @ sparse.diags_array(sig)) * w
+    for fast, general in [
+        (out.copy(), ref.copy()),
+        (identity_minus(0.1, out), sparse.eye_array(d, format="csc") - 0.1 * ref),
+    ]:
+        fast.eliminate_zeros()
+        general = general.tocsc()
+        general.sum_duplicates()
+        assert np.array_equal(fast.indptr, general.indptr)
+        assert np.array_equal(fast.indices, general.indices)
+        assert fast.data.tobytes() == general.data.tobytes()

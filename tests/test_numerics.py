@@ -265,3 +265,28 @@ def test_sparse_identity_minus_equals_the_dense_one():
     a = identity_minus(0.3, sparse.csc_array(m))
     assert sparse.issparse(a) and a.format == "csc"
     assert np.array_equal(a.toarray(), identity_minus(0.3, m))
+
+
+def _canonical_with_zeros(rng, d, density=0.4):
+    """A CSC matrix on a random pattern that stores every diagonal slot, some holding zeros."""
+    pattern = (rng.random((d, d)) < density) | np.eye(d, dtype=bool)
+    m = sparse.csc_array(pattern.astype(float))  # canonical: sorted rows, no duplicates
+    m.data[:] = rng.standard_normal(m.nnz)
+    m.data[rng.random(m.nnz) < 0.3] = 0.0  # explicit zeros, on and off the diagonal
+    return m
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sparse_identity_minus_on_a_stored_diagonal_equals_scipys_difference(seed):
+    rng = np.random.default_rng(seed)
+    d, c = 9, 0.5
+    m = _canonical_with_zeros(rng, d)
+    on_diag = np.flatnonzero(m.indices == np.repeat(np.arange(d), np.diff(m.indptr)))
+    m.data[on_diag[seed]] = 1.0 / c  # a diagonal entry of I - c*m that comes out zero
+    before = (m.indptr.copy(), m.indices.copy(), m.data.copy())
+    a = identity_minus(c, m)
+    ref = (sparse.eye_array(d, format="csc") - c * m).tocsc()
+    assert a.format == "csc" and np.count_nonzero(a.data == 0.0) == 0
+    assert np.array_equal(a.indptr, ref.indptr) and np.array_equal(a.indices, ref.indices)
+    assert a.data.tobytes() == ref.data.tobytes()
+    assert all(np.array_equal(x, y) for x, y in zip(before, (m.indptr, m.indices, m.data)))

@@ -262,3 +262,57 @@ def test_registry():
         get_model("unknown")
     with pytest.raises(ValueError):
         get_model("robertson", {"alpha": 1.0})
+
+
+def _kdv_h_from_destruction(rate):
+    """KdV's H assembled through scipy from the destruction matrix of ``rate``."""
+    from scipy import sparse
+
+    from pdint.pds import assemble_h_from_destruction
+
+    n = rate.size
+    idx = np.arange(n)
+    ip1 = (idx + 1) % n
+    pos = rate >= 0.0
+    donor, receiver = np.where(pos, ip1, idx), np.where(pos, idx, ip1)
+    dest = sparse.csc_array((np.abs(rate), (donor, receiver)), shape=(n, n))
+    return assemble_h_from_destruction(dest)
+
+
+@pytest.mark.parametrize("n_cells", [8, 9, 64])
+def test_kdv_h_on_its_template_equals_the_assembled_destruction_form(monkeypatch, n_cells):
+    import pdint.problems
+
+    model = kdv(KdvConfig(n_cells=n_cells))
+    rng = np.random.default_rng(n_cells)
+    rates = [kdv_interface_rates(KdvConfig(n_cells=n_cells), model.y0)]
+    for _ in range(5):
+        rate = rng.standard_normal(n_cells)  # both signs
+        rate[rng.integers(n_cells)] = 0.0  # a donor side chosen by the rule rate >= 0
+        rate[rng.integers(n_cells)] = -0.0
+        rates.append(rate)
+    for rate in rates:
+        monkeypatch.setattr(pdint.problems, "kdv_interface_rates", lambda cfg, y: rate)
+        h = model.eval_H(model.y0)
+        ref = _kdv_h_from_destruction(rate)
+        assert h.format == "csc" and h.nnz == 3 * n_cells and h.has_canonical_format
+        assert np.array_equal(h.toarray(), ref.toarray())
+        # the template stores the zeros that scipy's assembly drops; the rest is bit-equal
+        kept = h.copy()
+        kept.eliminate_zeros()
+        assert np.array_equal(kept.indptr, ref.indptr)
+        assert np.array_equal(kept.indices, ref.indices)
+        assert kept.data.tobytes() == ref.data.tobytes()
+
+
+def test_kdv_h_template_rejects_in_place_structural_changes():
+    model = kdv(KdvConfig(n_cells=8))
+    y = kdv_initial(KdvConfig(n_cells=8))
+    h = model.eval_H(y)
+    first = (h.indptr.copy(), h.indices.copy(), h.data.copy())
+    with pytest.raises(ValueError):
+        h.eliminate_zeros()
+    assert not (h.indices.flags.writeable or h.indptr.flags.writeable)
+    again = model.eval_H(y)
+    assert np.array_equal(again.indptr, first[0]) and np.array_equal(again.indices, first[1])
+    assert again.data.tobytes() == first[2].tobytes()

@@ -664,6 +664,29 @@ def test_fd_jacobian_on_the_pattern_equals_full_columns_gathered(monkeypatch, n_
     assert y.tobytes() == y_before.tobytes() and f.tobytes() == f_before.tobytes()
 
 
+@pytest.mark.parametrize("columns", [1, 5, 16])
+def test_fd_jacobian_buffered_by_runs_of_columns_is_unchanged(monkeypatch, columns):
+    from pdint.problems import KdvConfig, kdv
+
+    model = kdv(KdvConfig(n_cells=16))
+    y = model.y0 * np.random.default_rng(3).uniform(0.5, 1.5, 16)
+    f = eval_rhs(model, 0.0, y)
+    expected = _fd_jacobian_by_full_columns(model, 0.0, y, f)
+    dense_model = dataclasses.replace(model, jac_sparsity=None)
+    ynorm, sq = np.max(np.abs(y)), math.sqrt(np.finfo(float).eps)
+    dense_expected = np.empty((16, 16))
+    for j in range(16):
+        dy = sq * max(abs(y[j]), 1e-4 * ynorm)
+        yp = y.copy()
+        yp[j] += dy
+        dense_expected[:, j] = (eval_rhs(model, 0.0, yp) - f) / dy
+    monkeypatch.setattr(sdirk, "_FD_BUFFER", 16 * columns)  # 16 = 3 * 5 + 1 leaves a short run
+    jac = sdirk._fd_jacobian(model, 0.0, y, f)
+    assert jac.data.tobytes() == expected.data.tobytes()
+    dense = sdirk._fd_jacobian(dense_model, 0.0, y, f)
+    assert dense.tobytes(order="F") == np.asfortranarray(dense_expected).tobytes(order="F")
+
+
 @pytest.mark.parametrize("mode", ["final", "all"])
 @pytest.mark.parametrize("method", ["sdirk21", "sdirk32"])
 def test_sparse_kdv_agrees_with_the_same_model_made_dense(method, mode):
@@ -716,3 +739,26 @@ def test_robertson_sdirk32_large_fixed_steps_complete(h):
         assert np.max(np.abs(mass - mass[0])) <= 1e-12 * mass[0]
         if mode != "none":
             assert traj.min_component >= 0.0
+
+
+@pytest.mark.parametrize("mode", ["final", "all"])
+def test_kdv_step_hands_splu_no_stored_zeros(monkeypatch, mode):
+    import scipy.sparse.linalg
+
+    from pdint.problems import KdvConfig, kdv
+
+    factored = []
+    real = scipy.sparse.linalg.splu
+
+    def splu(a, *args, **kwargs):
+        factored.append(a.copy())
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", splu)
+    model = kdv(KdvConfig(n_cells=64))
+    assert np.count_nonzero(model.eval_H(model.y0).data == 0.0) > 0  # H stores zeros
+    config = SolverConfig(mode="fixed", h_fixed=0.35 / 128, correction=mode)
+    corrected_step(model, 0.0, model.y0, 0.35 / 128, config)
+    assert len(factored) >= 2  # Newton's I - h*gamma*J and the corrector matrix
+    for a in factored:
+        assert a.format == "csc" and np.count_nonzero(a.data == 0.0) == 0
