@@ -88,3 +88,53 @@ def test_ties_count_for_neither_side():
     summary = bench_record.summarize(runs, DECLARED["end_to_end"])["solve_s_p50"]
     assert (summary["change_wins"], summary["pairs"]) == (1, 3)
 
+
+
+def _verdict(parent, change, better="lower", bound=0.25):
+    runs = [
+        {"pair": k, "side": side, "correct": True, "metrics": {"m": value}}
+        for k, (p, c) in enumerate(zip(parent, change))
+        for side, value in (("parent", p), ("change", c))
+    ]
+    declared = [{"name": "m", "unit": "s", "better": better, "bound": bound}]
+    return bench_record.summarize(runs, declared)["m"]["verdict"]
+
+
+def test_verdict_gain_needs_nine_wins_in_ten_and_a_gap_beyond_the_parents_quartiles():
+    parent = [1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]
+    assert _verdict(parent, [v - 0.2 for v in parent]) == "gain"
+    # nine of ten pairs won is enough, eight is not
+    assert _verdict(parent, [v - 0.2 for v in parent[:9]] + [1.2]) == "gain"
+    assert _verdict(parent, [v - 0.2 for v in parent[:8]] + [1.2, 1.2]) == "same"
+    # every pair won, but by less than the parent's quartile distance (0.045)
+    assert _verdict(parent, [v - 0.04 for v in parent]) == "same"
+    # for a metric where higher is better the gap runs the other way
+    assert _verdict(parent, [v + 0.2 for v in parent], better="higher") == "gain"
+    assert _verdict(parent, [v - 0.2 for v in parent], better="higher") == "same"
+
+
+def test_verdict_worse_is_a_median_beyond_the_bound():
+    parent = [1.0] * 10
+    assert _verdict(parent, [1.3] * 10) == "worse"
+    assert _verdict(parent, [1.2] * 10) == "same"
+    assert _verdict(parent, [0.7] * 10, better="higher") == "worse"
+    assert _verdict(parent, [0.7] * 10, bound=0.5, better="higher") == "same"
+
+
+def test_verdict_unresolved_when_the_spread_exceeds_the_bound():
+    parent = [1.0, 2.0, 1.0, 2.0, 1.0, 2.0]  # quartile distance 1 against an allowance of 0.375
+    assert _verdict(parent, [1.5] * 6) == "unresolved"
+    # unless every change run reads better than every parent run
+    assert _verdict(parent, [0.9] * 6) == "same"
+    assert _verdict([], []) == "unresolved"
+
+
+def test_prints_one_line_per_workload_and_metric(tmp_path, capsys):
+    parent, change = make_root(tmp_path, "parent", 2.0), make_root(tmp_path, "change", 1.0)
+    out = tmp_path / "bench.json"
+    assert bench_record.main([str(parent), str(change), "--out", str(out), "--pairs", "3"]) == 0
+    summary = json.loads(out.read_text())["workloads"]["w"]["summary"]["solve_s_p50"]
+    assert summary["verdict"] == "unresolved"  # parent runs 2, 4, 6: too spread for the bound
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2].split() == ["workload", "metric", "parent", "change", "wins", "verdict"]
+    assert lines[-1].split() == ["w", "solve_s_p50", "4", "2", "3/3", "unresolved"]

@@ -12,11 +12,13 @@ BENCHMARK.json differ between the two roots, since then the two sides
 would not be measured alike.
 
 The output file holds every run's end-to-end metrics, each side's median
-and quartiles per metric, and the number of pairs in which the change
-read better (ties count for neither side).  A pair counts only when both
-of its runs reported ``"correct": true``; each side's number of
-incorrect runs is recorded with the metrics.  It is rewritten after every
-pair, so an interrupted recording keeps the pairs it finished.
+and quartiles per metric, the number of pairs in which the change read
+better (ties count for neither side) and a verdict (see ``verdict``).  A
+pair counts only when both of its runs reported ``"correct": true``; each
+side's number of incorrect runs is recorded with the metrics.  It is
+rewritten after every pair, so an interrupted recording keeps the pairs
+it finished.  At the end the tool prints one line per workload and
+metric: both medians, the wins and the verdict.
 """
 
 from __future__ import annotations
@@ -70,8 +72,37 @@ def quartiles(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def verdict(parent: list, change: list, wins: int, lower: bool, bound: float) -> str:
+    """Judge one metric from its paired values, ``parent[k]`` against ``change[k]``.
+
+    ``wins`` counts the pairs in which the change read better.
+
+    - ``gain``: the change wins at least nine pairs in ten, and its median
+      is better than the parent's by more than the parent's quartile distance
+    - ``worse``: the change's median is worse than the parent's by more
+      than ``bound`` times the parent's median
+    - ``unresolved``: neither, and either side's quartile distance exceeds
+      that allowance, unless every change run reads better than every
+      parent run; also when no pair counted
+    - ``same``: otherwise
+    """
+    if not parent:
+        return "unresolved"
+    p, c = quartiles(parent), quartiles(change)
+    gap = (p["median"] - c["median"]) * (1.0 if lower else -1.0)  # > 0: the change is better
+    if 10 * wins >= 9 * len(parent) and gap > p["q3"] - p["q1"]:
+        return "gain"
+    allowance = bound * abs(p["median"])
+    if -gap > allowance:
+        return "worse"
+    all_better = max(change) < min(parent) if lower else min(change) > max(parent)
+    if max(p["q3"] - p["q1"], c["q3"] - c["q1"]) > allowance and not all_better:
+        return "unresolved"
+    return "same"
+
+
 def summarize(runs: list, declared: list) -> dict:
-    """Per metric: each side's median and quartiles, and the change's wins over pairs.
+    """Per metric: each side's median and quartiles, the change's wins over pairs, a verdict.
 
     Only pairs in which both runs were correct count; each side's number
     of incorrect runs is recorded beside them.
@@ -88,16 +119,28 @@ def summarize(runs: list, declared: list) -> dict:
         complete = [p for p in pairs.values() if len(p) == 2]
         wins = sum((p["change"] < p["parent"]) if lower else (p["change"] > p["parent"])
                    for p in complete)
+        values = {side: [p[side] for p in complete] for side in SIDES}
         out[name] = {
             "unit": metric["unit"],
             "better": metric["better"],
             "bound": metric["bound"],
-            **{side: quartiles([p[side] for p in complete]) for side in SIDES},
+            **{side: quartiles(values[side]) for side in SIDES},
             "change_wins": wins,
             "pairs": len(complete),
             "incorrect_runs": incorrect,
+            "verdict": verdict(values["parent"], values["change"], wins, lower, metric["bound"]),
         }
     return out
+
+
+def print_table(record: dict) -> None:
+    """One line per workload and metric: both medians, the change's wins, the verdict."""
+    print(f"{'workload':<20} {'metric':<14} {'parent':>12} {'change':>12} {'wins':>6}  verdict")
+    for workload, entry in record["workloads"].items():
+        for name, m in entry.get("summary", {}).items():
+            medians = [f"{m[side]['median']:12.6g}" if m[side] else f"{'-':>12}" for side in SIDES]
+            print(f"{workload:<20} {name:<14} {medians[0]} {medians[1]} "
+                  f"{m['change_wins']:>3}/{m['pairs']:<2}  {m['verdict']}")
 
 
 def main(argv=None) -> int:
@@ -138,6 +181,7 @@ def main(argv=None) -> int:
                       f"{json.dumps(result['metrics'], sort_keys=True)}", flush=True)
             entry["summary"] = summarize(runs, declared["end_to_end"])
             args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    print_table(record)
     failed = [r for w in record["workloads"].values() for r in w["runs"] if not r["correct"]]
     return 1 if failed else 0
 
