@@ -59,8 +59,11 @@ def _splu(a):
     """SuperLU factors of a square sparse ``a``, under the dense pivot test."""
     from scipy.sparse.linalg import splu  # imported on first use: dense runs never need it
 
+    a = a.tocsc()
+    if not a.has_sorted_indices:  # splu sorts its argument in place: hand it a sorted copy
+        a = a.sorted_indices()
     try:
-        lu = splu(a.tocsc())
+        lu = splu(a)
     except RuntimeError as exc:
         if "singular" not in str(exc):  # e.g. out of memory: not a singular matrix
             raise
@@ -128,26 +131,16 @@ def identity_minus(c: float, m):
     large d each of those is a full d x d temporary.  The result is
     Fortran-ordered, so :func:`lu_solve` can factor it in place.
 
-    A ``scipy.sparse`` ``m`` gives a CSC matrix equal in ``indptr``,
-    ``indices`` and data to ``(scipy.sparse.eye_array(d) - c*m).tocsc()``,
-    which stores no zeros.  A canonical CSC ``m`` (sorted rows, no
-    duplicates) that stores every diagonal entry, zero or not, takes an
-    array path on copies of its index arrays.
+    A ``scipy.sparse`` ``m``, in any format, gives a new CSC matrix with the
+    entries of ``scipy.sparse.eye_array(d) - c*m`` and no stored zeros:
+    ``-c*m`` with 1 added on its diagonal, where ``setdiag`` inserts the
+    diagonal entries that ``m`` does not store.
     """
     if issparse(m):
-        from scipy import sparse
-
-        d = m.shape[0]
-        if m.shape == (d, d) and m.format == "csc" and m.has_canonical_format:
-            on_diag = m.indices == np.repeat(np.arange(d), np.diff(m.indptr))
-            if np.count_nonzero(on_diag) == d:
-                a = sparse.csc_array(
-                    (np.multiply(m.data, -c), m.indices.copy(), m.indptr.copy()), shape=(d, d)
-                )
-                a.data[on_diag] += 1.0
-                a.eliminate_zeros()  # as the sparse difference drops zero results
-                return a
-        return (sparse.eye_array(m.shape[0], format="csc") - c * m).tocsc()
+        a = (m * -c).tocsc()
+        a.setdiag(a.diagonal() + 1.0)
+        a.eliminate_zeros()  # as the sparse difference drops zero results
+        return a
     a = np.multiply(m, -c, order="F")
     a.flat[:: a.shape[0] + 1] += 1.0
     return a

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -32,3 +33,27 @@ def _newton_stage_oracle(model, t, y_n, h, a_ii, rhs_accum):
 def newton_stage_oracle():
     """The dense-Newton stage solve that ``solve_stage`` is checked against."""
     return _newton_stage_oracle
+
+
+def _as_sparse(form, m):
+    """The dense ``m`` as a ``scipy.sparse`` input of the named form."""
+    from scipy import sparse
+
+    if form in ("csc_array", "csr_array", "coo_array", "csc_matrix"):
+        return getattr(sparse, form)(m)
+    a = sparse.csc_array(m)
+    if form == "csc_unsorted":  # every column stores its rows in descending order
+        order = np.lexsort((-a.indices, np.repeat(np.arange(a.shape[1]), np.diff(a.indptr))))
+        return sparse.csc_array((a.data[order], a.indices[order], a.indptr), shape=a.shape)
+    # csc_duplicates: each entry stored twice, as two exact halves
+    return sparse.csc_array(
+        (np.repeat(a.data / 2, 2), np.repeat(a.indices, 2), 2 * a.indptr), shape=a.shape
+    )
+
+
+@pytest.fixture(
+    params=["csc_array", "csr_array", "coo_array", "csc_matrix", "csc_unsorted", "csc_duplicates"]
+)
+def as_sparse(request):
+    """Store a dense matrix as one form of sparse input; the sparse kernels take every form."""
+    return functools.partial(_as_sparse, request.param)

@@ -108,6 +108,18 @@ def test_sparse_lu_factor_and_solve_agree_with_the_dense_solve():
         lu_factor(sparse.csc_array(np.ones((2, 3))))
 
 
+def test_sparse_lu_leaves_a_matrix_with_unsorted_rows_unchanged():
+    # column 0 stores rows 1, 0: SuperLU sorts its argument in place
+    a = sparse.csc_array(
+        (np.array([2.0, 1.0, 3.0, 4.0]), np.array([1, 0, 0, 1]), np.array([0, 2, 4])), shape=(2, 2)
+    )
+    b = np.array([1.0, 2.0])
+    x = np.linalg.solve(a.toarray(), b)
+    assert np.allclose(lu_solve(a, b), x, rtol=1e-15, atol=0.0)
+    assert np.allclose(lu_back_solve(lu_factor(a), b), x, rtol=1e-15, atol=0.0)
+    assert a.indices.tolist() == [1, 0, 0, 1] and a.data.tolist() == [2.0, 1.0, 3.0, 4.0]
+
+
 def test_lu_factor_rejects_non_square():
     with pytest.raises(ValueError):
         lu_factor(np.ones((2, 3)))
@@ -258,12 +270,13 @@ def test_fit_slope_degenerate():
         fit_slope([0.5, 0.5, 0.5], [1.0, 2.0, 3.0])
 
 
-def test_sparse_identity_minus_equals_the_dense_one():
+@pytest.mark.filterwarnings("error")  # filling a missing diagonal entry must not warn
+def test_sparse_identity_minus_equals_the_dense_one(as_sparse):
     rng = np.random.default_rng(6)
     m = rng.standard_normal((7, 7)) * (rng.random((7, 7)) < 0.4)
     m[2, 2] = 0.0  # the identity fills a diagonal entry the pattern lacks
-    a = identity_minus(0.3, sparse.csc_array(m))
-    assert sparse.issparse(a) and a.format == "csc"
+    a = identity_minus(0.3, as_sparse(m))
+    assert sparse.issparse(a) and a.format == "csc" and np.count_nonzero(a.data == 0.0) == 0
     assert np.array_equal(a.toarray(), identity_minus(0.3, m))
 
 

@@ -5,7 +5,7 @@ Usage: python tools/trajectory_digest.py [ROOT]
 
 Runs against ROOT/src (default: the checkout holding this script) with
 BLAS pinned to one thread and prints, in order: one sha256 per run of a
-fixed set of 147 integrations, over every field of its ``Trajectory``
+fixed set of 151 integrations, over every field of its ``Trajectory``
 and every ``StepAttempt``; for each ``pdint ...`` command in the code
 blocks of ROOT/README.md but ``timing`` (its output is wall-clock time),
 run as ``python -m pdint.cli`` in a fresh temporary directory, a sha256
@@ -17,9 +17,11 @@ differ at most in the last line, so one ``diff`` compares them.
 The set: Robertson [0, 5000], MAPK alpha=1 [0, 20] and stratospheric
 [19 h, 19 h + 120 s] x sdirk21/32/43 x none/final/all; Robertson fixed
 h = 2000 on [0, 1e4] and KdV 64 cells with 8 fixed steps of 0.35/128 x
-sdirk21/32 x none/final/all; the positivity-guard runs KdV 64 cells
-[0, 0.35] from h0 = 0.0035 and stratospheric [12 h, 36 h] with final
-correction; Robertson fixed h = 2000 final with eps = 1e-6 and MAPK
+sdirk21/32 x none/final/all; KdV 64 cells whose H scipy assembles from
+a sparse destruction matrix (:func:`kdv_destruction_model`), 128 fixed
+steps of 0.35/128 x sdirk21/32 x final/all; the positivity-guard runs KdV 64
+cells [0, 0.35] from h0 = 0.0035 and stratospheric [12 h, 36 h] with
+final correction; Robertson fixed h = 2000 final with eps = 1e-6 and MAPK
 sdirk32 all with eps = 1e-3; and every case of the benchmark workloads
 in ``perfbench/workloads.py`` for seed ``WORKLOAD_SEED`` (104 runs),
 read from the checkout holding this script so that both sides of a
@@ -63,7 +65,11 @@ DRIFT_TOL = 1e-12
 
 
 def library_runs():
-    """(label, problem, params, config kwargs, t0, tf) of the library runs."""
+    """(label, problem, params, config kwargs, t0, tf) of the library runs.
+
+    ``problem`` is a name for ``pdint.get_model`` or a function that takes
+    ``params`` as keywords and returns the model.
+    """
     runs = []
     adaptive = (
         ("robertson", {}, 0.0, 5000.0),
@@ -84,6 +90,11 @@ def library_runs():
             for mode in MODES:
                 kwargs = {"method": method, "correction": mode, "mode": "fixed", "h_fixed": h}
                 runs.append((f"{problem} fixed {method} {mode}", problem, params, kwargs, t0, tf))
+    for method in METHODS[:2]:
+        for mode in MODES[1:]:
+            kwargs = {"method": method, "correction": mode, "mode": "fixed", "h_fixed": KDV_H}
+            runs.append((f"kdv destruction fixed {method} {mode}", kdv_destruction_model,
+                         {"n_cells": 64}, kwargs, 0.0, 128 * KDV_H))
     runs.append(("kdv guard none", "kdv", {"n_cells": 64},
                  {"h0": 0.0035, "positivity_guard_rejection": True}, 0.0, 0.35))
     runs.append(("stratospheric guard final", "stratospheric", {},
@@ -94,6 +105,37 @@ def library_runs():
     runs.append(("mapk sdirk32 all eps=1e-3", "mapk", {"alpha": 1.0},
                  {"method": "sdirk32", "correction": "all", "eps": 1e-3}, 0.0, 20.0))
     return runs
+
+
+def kdv_destruction_model(n_cells: int):
+    """KdV whose H is assembled by scipy from a sparse donor/receiver destruction matrix.
+
+    The pattern of that H follows the signs of the interface rates, and a
+    cell that drains into neither neighbour stores no diagonal entry.  Over
+    [0, 0.35] the stages of some steps then give H of different patterns
+    (from step 36 of 128 on), so the sparse corrector kernels see general inputs;
+    KdV's own ``eval_H`` fills one fixed template.  Must run with ROOT/src
+    importable.
+    """
+    import dataclasses
+
+    from scipy import sparse
+
+    from pdint.pds import assemble_h_from_destruction
+    from pdint.problems import KdvConfig, kdv, kdv_interface_rates
+
+    cfg = KdvConfig(n_cells=n_cells)
+    idx = np.arange(n_cells)
+    ip1 = (idx + 1) % n_cells
+
+    def eval_H(y):
+        rate = kdv_interface_rates(cfg, y)  # interface i+1/2 drains cell i+1 when positive
+        pos = rate >= 0.0
+        donor, receiver = np.where(pos, ip1, idx), np.where(pos, idx, ip1)
+        dest = sparse.csc_array((np.abs(rate), (donor, receiver)), shape=(n_cells, n_cells))
+        return assemble_h_from_destruction(dest)
+
+    return dataclasses.replace(kdv(cfg), eval_H=eval_H)
 
 
 def trajectory_digest(traj) -> str:
@@ -117,7 +159,7 @@ def runs():
     from pdint import SolverConfig, get_model
 
     for label, problem, params, kwargs, t0, tf in library_runs():
-        model = get_model(problem, params)
+        model = problem(**params) if callable(problem) else get_model(problem, params)
         yield label, model, SolverConfig(**kwargs), t0, tf, model.y0
 
     import workloads
