@@ -60,8 +60,8 @@ def _splu(a):
     from scipy.sparse.linalg import splu  # imported on first use: dense runs never need it
 
     a = a.tocsc()
-    if not a.has_sorted_indices:  # splu sorts its argument in place: hand it a sorted copy
-        a = a.sorted_indices()
+    if not a.has_canonical_format:  # splu sorts and sums its argument in place: hand it a copy
+        a = a.copy()
     try:
         lu = splu(a)
     except RuntimeError as exc:

@@ -374,8 +374,9 @@ def solve_stage(model, t_stage, y_n, h, a_ii, rhs_accum, newton_factors=None):
     Graph-Laplacian models use the frozen-matrix fixed point
     Y_{k+1} = (I - h*a_ii*G(t, Y_k))^{-1} (y_n + rhs_accum), which reuses
     the corrector's M-matrix solve; a finite-difference Newton fallback
-    takes over if the fixed point stops contracting.  H-form models go
-    straight to Newton since their stage equation has no G*y structure.
+    takes over once two more iterations at the observed rate would not
+    converge: d_k * (d_k / d_{k-1})**2 > 1 for the update norms d_k
+    below.  H-form models go straight to Newton (no G*y structure).
     Picard allows ``_STAGE_MAX_ITER // 2`` iterations, Newton
     ``_STAGE_MAX_ITER`` per start.  A failed Newton is retried once from
     clip(y_n + rhs_accum) with a fresh matrix, unless that would repeat it.
@@ -403,15 +404,15 @@ def solve_stage(model, t_stage, y_n, h, a_ii, rhs_accum, newton_factors=None):
         eye = np.eye(y_n.size)
         y = y_n.copy()
         prev = math.inf
-        for k in range(_STAGE_MAX_ITER // 2):
+        for _ in range(_STAGE_MAX_ITER // 2):
             g = model.matrix(t_stage, y)
             y_new = lu_solve(eye - h_aii * g, rhs)
             dn = weighted_rms(y_new - y, y_new, atol_it, _STAGE_TOL)
             y = y_new
             if dn <= 1.0:
                 return y, newton_factors
-            if k >= 2 and dn > 0.9 * prev:
-                break  # no contraction, hand over to Newton
+            if dn * (dn / prev) ** 2 > 1.0:
+                break  # two more updates at this rate would not converge: Newton
             prev = dn
     try:
         return _newton_stage(model, t_stage, rhs, h_aii, y, atol_it, newton_factors)

@@ -196,7 +196,7 @@ def test_criterion_3_mapk_c1_drift_band():
     Appl. 12B, 1986), so no uncorrected run can drift in C1, and a drift
     band of 4.5e-4..2e-3 over [0, 200] is out of reach.  That run never
     clips either (smallest component 0.026), so the corrector is idle;
-    measured C1 drift: none 2.4e-11, final 1.5e-11, all 1.5e-11.
+    measured C1 drift: none 2.7e-15, final 4.7e-12, all 4.7e-12.
 
     The drift appears once the corrector clips.  One sdirk21 step with
     h = 2.5 from y = (0.1, 0.1, 0.01, 0.04, 1.3, 0): the uncorrected step

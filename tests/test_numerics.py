@@ -120,6 +120,20 @@ def test_sparse_lu_leaves_a_matrix_with_unsorted_rows_unchanged():
     assert a.indices.tolist() == [1, 0, 0, 1] and a.data.tolist() == [2.0, 1.0, 3.0, 4.0]
 
 
+def test_sparse_lu_leaves_a_matrix_with_duplicate_entries_unchanged():
+    # column 0 stores row 0 twice: its rows are sorted, but SuperLU sums them in place
+    a = sparse.csc_array(
+        (np.array([1.0, 1.0, 2.0, 3.0, 4.0]), np.array([0, 0, 1, 0, 1]), np.array([0, 3, 5])),
+        shape=(2, 2),
+    )
+    b = np.array([1.0, 2.0])
+    x = np.linalg.solve(a.toarray(), b)
+    assert np.allclose(lu_solve(a, b), x, rtol=1e-15, atol=0.0)
+    assert np.allclose(lu_back_solve(lu_factor(a), b), x, rtol=1e-15, atol=0.0)
+    assert a.indptr.tolist() == [0, 3, 5] and a.indices.tolist() == [0, 0, 1, 0, 1]
+    assert a.data.tolist() == [1.0, 1.0, 2.0, 3.0, 4.0]
+
+
 def test_lu_factor_rejects_non_square():
     with pytest.raises(ValueError):
         lu_factor(np.ones((2, 3)))

@@ -574,6 +574,41 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
+def test_fast_contracting_picard_stage_needs_no_newton(monkeypatch):
+    # from the stratospheric y0 at h = 1e-3 the updates shrink about 1e-2-fold
+    # per iteration: the handover test must let Picard finish
+    model = stratospheric()
+    gamma, h = tableau("sdirk21").gamma, 1e-3
+    solves = _count_calls(monkeypatch, "lu_solve")
+    newton = _count_calls(monkeypatch, "_newton_stage")
+    y, _ = solve_stage(model, model.t0 + gamma * h, model.y0, h, gamma, np.zeros(6))
+    assert len(newton) == 0
+    assert len(solves) > 2  # Picard ran past the first check of the rate
+    assert np.all(y > 0.0)
+
+
+@pytest.mark.parametrize("h", [1.0, 100.0])
+def test_picard_stage_predicted_not_to_converge_hands_over_after_two_updates(monkeypatch, h):
+    # a stiff Robertson stage: the second update is no smaller than the first
+    model = robertson()
+    gamma = tableau("sdirk21").gamma
+    solves = _count_calls(monkeypatch, "lu_solve")
+    newton = _count_calls(monkeypatch, "_newton_stage")
+    solve_stage(model, gamma * h, model.y0, h, gamma, np.zeros(3))
+    assert (len(solves), len(newton)) == (2, 1)
+
+
+@pytest.mark.parametrize("h", [1e-3, 1.0, 100.0])
+def test_handed_over_stage_matches_newton_oracle(monkeypatch, newton_stage_oracle, h):
+    model = robertson()
+    gamma = tableau("sdirk21").gamma
+    newton = _count_calls(monkeypatch, "_newton_stage")
+    y, _ = solve_stage(model, gamma * h, model.y0, h, gamma, np.zeros(3))
+    assert len(newton) == 1
+    y_oracle = newton_stage_oracle(model, gamma * h, model.y0, h, gamma, np.zeros(3))
+    assert np.max(np.abs(y - y_oracle)) <= 1e-10 * (1.0 + np.max(np.abs(y_oracle)))
+
+
 @pytest.mark.parametrize("method", ["sdirk21", "sdirk32"])
 def test_newton_stages_of_one_step_share_one_factored_matrix(monkeypatch, method):
     # every stage of an SDIRK step has the same h*gamma, so one Jacobian

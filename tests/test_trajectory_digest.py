@@ -118,3 +118,39 @@ def test_drift_fault_needs_both_the_tolerance_and_the_parent(old_end, new_end, g
     new = summary([[1.0, 1.0], [1.0, new_end]])
     _line, faults = trajectory_digest.compare_run("run", old, new)
     assert faults == (["drift grew"] if grew else [])
+
+
+def labelled(label, states, **kwargs):
+    return {"label": label, **summary(states, **kwargs)}
+
+
+def test_compare_summary_counts_changed_step_counts_and_names_the_largest_difference():
+    same = labelled("same", [[1.0, 1.0], [0.5, 1.5]])
+    small = labelled("small", [[1.0, 1.0], [0.5, 1.5]])
+    small_new = labelled("small", [[1.0, 1.0], [0.5, 1.5 * (1 + 1e-13)]])
+    large = labelled("large", [[1.0, 1.0], [0.5, 1.5]])
+    large_new = labelled("large", [[1.0, 1.0], [0.5 * (1 + 1e-9), 1.5]], rejected=1)
+    pairs = [(same, same), (small, small_new), (large, large_new)]
+    lines, exit_code = trajectory_digest.compare_sides(pairs)
+    assert exit_code == 1  # the 5e-10 move of the total is a drift regression
+    assert len(lines) == 4
+    assert lines[-1] == (
+        "3 runs: 0 status changes, 1 drift regressions, 0 parent runs with drift above 1e-12, "
+        "1 runs with changed step counts, largest final rel diff 1e-09 (large)"
+    )
+
+
+def test_compare_summary_of_identical_runs_exits_zero():
+    runs = [labelled(f"run{i}", [[1.0, 1.0], [0.5, 1.5]]) for i in range(2)]
+    lines, exit_code = trajectory_digest.compare_sides([(r, r) for r in runs])
+    assert exit_code == 0
+    assert lines[-1].endswith("0 runs with changed step counts, largest final rel diff 0 (none)")
+
+
+def test_compare_summary_exits_one_on_a_status_change():
+    old = labelled("run", [[1.0, 1.0], [0.5, 1.5]])
+    new = labelled("run", [[1.0, 1.0]], status="step_too_small", rejected=4)
+    lines, exit_code = trajectory_digest.compare_sides([(old, new)])
+    assert exit_code == 1
+    assert lines[-1].startswith("1 runs: 1 status changes, 0 drift regressions")
+    assert "1 runs with changed step counts" in lines[-1]

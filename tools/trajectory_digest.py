@@ -34,11 +34,14 @@ accepted and rejected step counts, the largest relative difference
 |a_i - b_i| / max(|a_i|, |b_i|) between the final states, and the largest
 drift of an exact invariant (the ``invariant_error`` of its weights) on
 each side.  A last line counts the status changes, the drift
-regressions and the parent runs whose drift is already above
-``DRIFT_TOL``.  It exits 1 when a status changes, or when a change-side
-drift is above both ``DRIFT_TOL`` (1e-12) and the parent's drift; a NaN
-drift on the change side counts as above.  README commands and the
-``src lines`` count are left to the digest mode.
+regressions, the parent runs whose drift is already above
+``DRIFT_TOL`` and the runs whose accepted or rejected step count
+changed, and names the run with the largest final relative difference
+("none" when every final state is identical).  It exits 1 when a status
+changes, or when a change-side drift is above both ``DRIFT_TOL``
+(1e-12) and the parent's drift; a NaN drift on the change side counts
+as above.  README commands and the ``src lines`` count are left to the
+digest mode.
 """
 
 from __future__ import annotations
@@ -201,13 +204,18 @@ def summarize_all() -> None:
         print(json.dumps({"label": label, **run_summary(model, traj)}), flush=True)
 
 
+def final_rel_diff(old: dict, new: dict) -> float:
+    """Largest |a_i - b_i| / max(|a_i|, |b_i|) between two summaries' final states."""
+    a, b = np.array(old["final"]), np.array(new["final"])
+    if a.shape != b.shape:
+        return math.inf  # a change of dimension
+    scale = np.maximum(np.abs(a), np.abs(b))
+    return float(np.max(np.abs(a - b) / np.where(scale > 0.0, scale, 1.0)))
+
+
 def compare_run(label: str, old: dict, new: dict) -> tuple:
     """The report line of one run's parent and change summaries, and its faults."""
-    a, b = np.array(old["final"]), np.array(new["final"])
-    rel = math.inf  # a change of dimension
-    if a.shape == b.shape:
-        scale = np.maximum(np.abs(a), np.abs(b))
-        rel = float(np.max(np.abs(a - b) / np.where(scale > 0.0, scale, 1.0)))
+    rel = final_rel_diff(old, new)
     faults = []
     if old["status"] != new["status"]:
         faults.append("status changed")
@@ -233,16 +241,32 @@ def compare_roots(parent: Path, change: Path) -> int:
     if any(proc.returncode for proc in procs):
         return 1
     sides = [[json.loads(line) for line in out.splitlines()] for out in outs]
-    status = drift = parent_drift = 0
-    for old, new in zip(*sides):
+    lines, exit_code = compare_sides(list(zip(*sides)))
+    print("\n".join(lines))
+    return exit_code
+
+
+def compare_sides(pairs: list) -> tuple:
+    """The report lines of (parent, change) summary pairs, closing line last, and the exit code."""
+    lines = []
+    status = drift = parent_drift = counts = 0
+    rel, label = 0.0, "none"
+    for old, new in pairs:
         line, faults = compare_run(old["label"], old, new)
-        print(line)
+        lines.append(line)
         status += "status changed" in faults
         drift += "drift grew" in faults
         parent_drift += not old["drift"] <= DRIFT_TOL
-    print(f"{len(sides[0])} runs: {status} status changes, {drift} drift regressions, "
-          f"{parent_drift} parent runs with drift above {DRIFT_TOL:g}")
-    return 1 if status or drift else 0
+        counts += (old["accepted"], old["rejected"]) != (new["accepted"], new["rejected"])
+        diff = final_rel_diff(old, new)
+        if diff > rel:
+            rel, label = diff, old["label"]
+    lines.append(
+        f"{len(pairs)} runs: {status} status changes, {drift} drift regressions, "
+        f"{parent_drift} parent runs with drift above {DRIFT_TOL:g}, "
+        f"{counts} runs with changed step counts, largest final rel diff {rel:.3g} ({label})"
+    )
+    return lines, 1 if status or drift else 0
 
 
 def readme_commands(readme: Path) -> list:
