@@ -575,16 +575,15 @@ def _count_calls(monkeypatch, name):
 
 
 def test_fast_contracting_picard_stage_needs_no_newton(monkeypatch):
-    # from the stratospheric y0 at h = 1e-3 the updates shrink about 1e-2-fold
-    # per iteration: the handover test must let Picard finish
+    # from the stratospheric y0 at h = 1e-3 the updates shrink at least
+    # 60-fold per iteration: the handover test must let Picard finish
     model = stratospheric()
     gamma, h = tableau("sdirk21").gamma, 1e-3
     solves = _count_calls(monkeypatch, "lu_solve")
     newton = _count_calls(monkeypatch, "_newton_stage")
-    y, _ = solve_stage(model, model.t0 + gamma * h, model.y0, h, gamma, np.zeros(6))
+    solve_stage(model, model.t0 + gamma * h, model.y0, h, gamma, np.zeros(6))
     assert len(newton) == 0
     assert len(solves) > 2  # Picard ran past the first check of the rate
-    assert np.all(y > 0.0)
 
 
 @pytest.mark.parametrize("h", [1.0, 100.0])
