@@ -55,7 +55,7 @@ def _build_config(args, correction=None):
         rtol=args.rtol,
         correction=correction if correction is not None else args.correction,
         eps=args.eps,
-        positivity_guard_rejection=bool(getattr(args, "guard", False)),
+        positivity_guard_rejection=args.guard,
     )
 
 

@@ -334,35 +334,30 @@ def _newton_stage(model, t, rhs, h_aii, y_init, atol_it, a_fact):
     f = eval_rhs(model, t, y)
     resid = y - rhs - h_aii * f
     rn = weighted_rms(resid, y, atol_it, _STAGE_TOL)
-    fresh = False
     for _ in range(_STAGE_MAX_ITER):
         if rn <= 1.0:
             break
-        if a_fact is None:
+        fresh = a_fact is None
+        if fresh:
             a_fact = lu_factor(identity_minus(h_aii, _fd_jacobian(model, t, y, f)))
-            fresh = True
         delta = lu_back_solve(a_fact, -resid)
         alpha = 1.0
-        improved = False
         while alpha >= 1e-8:
             y_new = y + alpha * delta
             f_new = eval_rhs(model, t, y_new)
             r_new = y_new - rhs - h_aii * f_new
             rn_new = weighted_rms(r_new, y_new, atol_it, _STAGE_TOL)
             if rn_new < rn:
-                improved = True
                 break
             alpha *= 0.5
-        if not improved:
+        else:  # no descent
             if fresh:
                 raise StageConvergenceError(f"stage iteration failed at t={t}")
             a_fact = None  # the frozen Jacobian went stale, rebuild it
             continue
-        slow = rn_new > 0.5 * rn or alpha < 1.0
+        if rn_new > 0.5 * rn or alpha < 1.0:
+            a_fact = None  # slow convergence, rebuild it
         y, f, resid, rn = y_new, f_new, r_new, rn_new
-        fresh = False
-        if slow:
-            a_fact = None
     if rn > 1.0:
         raise StageConvergenceError(f"stage iteration exceeded budget at t={t}")
     return y, a_fact
@@ -417,7 +412,7 @@ def solve_stage(model, t_stage, y_n, h, a_ii, rhs_accum, newton_factors=None):
     try:
         return _newton_stage(model, t_stage, rhs, h_aii, y, atol_it, newton_factors)
     except StageConvergenceError:
-        # a diverged Picard start can leave Newton without descent (Robertson sdirk32)
+        # Newton from a Picard iterate can find no descent (stratospheric sdirk21, h = 3600 s)
         start = clip(rhs)
         if newton_factors is None and np.array_equal(start, y):
             raise  # the restart would repeat the failed attempt

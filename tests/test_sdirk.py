@@ -761,9 +761,9 @@ def test_failed_newton_stage_is_not_repeated_from_the_same_start(monkeypatch):
 
 @pytest.mark.parametrize("h", [100.0, 500.0, 1000.0, 2000.0])
 def test_robertson_sdirk32_large_fixed_steps_complete(h):
-    # a31 < 0 makes stage 3's right-hand side negative; Picard diverges and
-    # Newton from its last iterate finds no descent, so the stage solver
-    # restarts Newton from the clipped right-hand side
+    # a31 < 0 makes stage 3's right-hand side negative; the rate handover
+    # gives that stage to Newton, which converges without a restart (the
+    # restart from clip(rhs) is pinned by the photochemistry test below)
     model = robertson()
     for mode in ("none", "final", "all"):
         config = SolverConfig(method="sdirk32", mode="fixed", h_fixed=h, correction=mode)
@@ -773,6 +773,24 @@ def test_robertson_sdirk32_large_fixed_steps_complete(h):
         assert np.max(np.abs(mass - mass[0])) <= 1e-12 * mass[0]
         if mode != "none":
             assert traj.min_component >= 0.0
+
+
+@pytest.mark.parametrize("mode", ["none", "final", "all"])
+def test_newton_restart_completes_large_fixed_photochemistry_steps(mode):
+    # at h = 3600 s from 12 h, Newton from a Picard iterate with the factors
+    # of the previous stage finds no descent; only the restart from
+    # clip(rhs) with a fresh matrix completes the step
+    from pdint.pds import invariant_error
+
+    model = stratospheric()
+    config = SolverConfig(method="sdirk21", mode="fixed", h_fixed=3600.0, correction=mode)
+    traj = integrate(model, config, 12 * 3600.0, 36 * 3600.0, model.y0)
+    assert traj.status == TrajectoryStatus.COMPLETED, traj.attempts[-1]
+    assert traj.steps_accepted == 24
+    m_n = next(inv for inv in model.invariants if inv.label == "M_N")
+    assert invariant_error(traj, m_n.w) <= 1e-12
+    if mode != "none":
+        assert traj.min_component >= 0.0
 
 
 @pytest.mark.parametrize("mode", ["final", "all"])

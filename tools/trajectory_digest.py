@@ -1,18 +1,31 @@
-"""Digest a checkout's trajectories, README command outputs and src/ size.
+"""Compare two checkouts' trajectories, README command outputs and src/ size.
 
-Usage: python tools/trajectory_digest.py [ROOT]
-       python tools/trajectory_digest.py --compare PARENT CHANGE
+Usage: python tools/trajectory_digest.py PARENT CHANGE
 
-Runs against ROOT/src (default: the checkout holding this script) with
-BLAS pinned to one thread and prints, in order: one sha256 per run of a
-fixed set of 151 integrations, over every field of its ``Trajectory``
-and every ``StepAttempt``; for each ``pdint ...`` command in the code
-blocks of ROOT/README.md but ``timing`` (its output is wall-clock time),
-run as ``python -m pdint.cli`` in a fresh temporary directory, a sha256
-of its exit code, stdout, stderr and every file it wrote; and
-``src lines N``, the line count of ROOT/src/**/*.py.  Two checkouts
-compute the same numbers and CLI outputs exactly when their printouts
-differ at most in the last line, so one ``diff`` compares them.
+Runs a fixed set of 151 integrations against PARENT/src and CHANGE/src,
+both at once, with BLAS pinned to one thread; per run, each side prints
+one JSON record: a sha256 over every field of its ``Trajectory`` and
+every ``StepAttempt``, its status, accepted and rejected step counts,
+final state and largest exact-invariant drift (the ``invariant_error``
+of the invariant's weights).  The tool then prints one line per run,
+``identical`` when the two digests match and otherwise both statuses
+and step counts, the largest relative difference
+|a_i - b_i| / max(|a_i|, |b_i|) between the final states and both
+drifts; a line counting the identical runs, the status changes, the
+drift regressions, the parent runs whose drift is already above
+``DRIFT_TOL`` and the runs whose step counts changed, and naming the
+run with the largest final relative difference ("none" when every
+final state is identical); one line per ``pdint ...`` command in the
+code blocks of CHANGE/README.md but ``timing`` (its output is
+wall-clock time), run on each side as ``python -m pdint.cli`` in a fresh
+temporary directory: ``identical``, or the names of the outputs that
+differ (exit code, stdout, stderr, each file it wrote); and last
+``src lines P C``, the line counts of each side's src/**/*.py.  A change
+keeps every number and CLI output exactly when every run and command
+reads ``identical``.  The tool exits 1 when a side's child fails (it
+names the side and its exit code on stderr), when a status changes, or
+when a change-side drift is above both ``DRIFT_TOL`` (1e-12) and the
+parent's drift; a NaN drift on the change side counts as above.
 
 The set: Robertson [0, 5000], MAPK alpha=1 [0, 20] and stratospheric
 [19 h, 19 h + 120 s] x sdirk21/32/43 x none/final/all; Robertson fixed
@@ -24,24 +37,8 @@ cells [0, 0.35] from h0 = 0.0035 and stratospheric [12 h, 36 h] with
 final correction; Robertson fixed h = 2000 final with eps = 1e-6 and MAPK
 sdirk32 all with eps = 1e-3; and every case of the benchmark workloads
 in ``perfbench/workloads.py`` for seed ``WORKLOAD_SEED`` (104 runs),
-read from the checkout holding this script so that both sides of a
-diff run the same inputs.
-
-``--compare PARENT CHANGE`` runs the same set against PARENT/src and
-CHANGE/src, both at once, and says by how much each run moved instead of
-whether it did.  It prints one line per run: the status on each side,
-accepted and rejected step counts, the largest relative difference
-|a_i - b_i| / max(|a_i|, |b_i|) between the final states, and the largest
-drift of an exact invariant (the ``invariant_error`` of its weights) on
-each side.  A last line counts the status changes, the drift
-regressions, the parent runs whose drift is already above
-``DRIFT_TOL`` and the runs whose accepted or rejected step count
-changed, and names the run with the largest final relative difference
-("none" when every final state is identical).  It exits 1 when a status
-changes, or when a change-side drift is above both ``DRIFT_TOL``
-(1e-12) and the parent's drift; a NaN drift on the change side counts
-as above.  README commands and the ``src lines`` count are left to the
-digest mode.
+read from the checkout holding this script so that both sides run
+the same inputs.
 """
 
 from __future__ import annotations
@@ -172,17 +169,18 @@ def runs():
             yield f"{name} {case.label}", case.model, case.config(), *case.span, case.y0
 
 
-def digest_all() -> None:
-    """Print one digest line per run; must run with ROOT/src importable."""
+def print_records() -> None:
+    """Print one JSON record per run, its digest and summary; must run with ROOT/src importable."""
     from pdint import integrate
 
     for label, model, config, t0, tf, y0 in runs():
         traj = integrate(model, config, t0, tf, y0)
-        print(f"{trajectory_digest(traj)}  {label}", flush=True)
+        record = {"label": label, "digest": trajectory_digest(traj), **run_summary(model, traj)}
+        print(json.dumps(record), flush=True)
 
 
 def run_summary(model, traj) -> dict:
-    """What ``--compare`` reports of one run, as JSON-ready values."""
+    """What a run's record holds beside its digest, as JSON-ready values."""
     from pdint import invariant_error
 
     drifts = [invariant_error(traj, inv.w) for inv in model.invariants if inv.exact]
@@ -195,17 +193,8 @@ def run_summary(model, traj) -> dict:
     }
 
 
-def summarize_all() -> None:
-    """Print one JSON summary line per run; must run with ROOT/src importable."""
-    from pdint import integrate
-
-    for label, model, config, t0, tf, y0 in runs():
-        traj = integrate(model, config, t0, tf, y0)
-        print(json.dumps({"label": label, **run_summary(model, traj)}), flush=True)
-
-
 def final_rel_diff(old: dict, new: dict) -> float:
-    """Largest |a_i - b_i| / max(|a_i|, |b_i|) between two summaries' final states."""
+    """Largest |a_i - b_i| / max(|a_i|, |b_i|) between two records' final states."""
     a, b = np.array(old["final"]), np.array(new["final"])
     if a.shape != b.shape:
         return math.inf  # a change of dimension
@@ -214,46 +203,34 @@ def final_rel_diff(old: dict, new: dict) -> float:
 
 
 def compare_run(label: str, old: dict, new: dict) -> tuple:
-    """The report line of one run's parent and change summaries, and its faults."""
-    rel = final_rel_diff(old, new)
+    """The report line of one run's parent and change records, and its faults."""
     faults = []
     if old["status"] != new["status"]:
         faults.append("status changed")
     if not new["drift"] <= max(DRIFT_TOL, old["drift"]):  # NaN counts as drift
         faults.append("drift grew")
-    line = (
-        f"{label}: status {old['status']} {new['status']}"
-        f"  accepted {old['accepted']} {new['accepted']}"
-        f"  rejected {old['rejected']} {new['rejected']}"
-        f"  final rel diff {rel:.3g}  drift {old['drift']:.3g} {new['drift']:.3g}"
-    )
+    if old["digest"] == new["digest"]:
+        line = f"{label}: identical"
+    else:
+        line = (
+            f"{label}: status {old['status']} {new['status']}"
+            f"  accepted {old['accepted']} {new['accepted']}"
+            f"  rejected {old['rejected']} {new['rejected']}"
+            f"  final rel diff {final_rel_diff(old, new):.3g}"
+            f"  drift {old['drift']:.3g} {new['drift']:.3g}"
+        )
     return line + "".join(f"  FAIL {f}" for f in faults), faults
 
 
-def compare_roots(parent: Path, change: Path) -> int:
-    """Run every run against both roots and print :func:`compare_run` lines."""
-    code = "import trajectory_digest; trajectory_digest.summarize_all()"
-    procs = [
-        subprocess.Popen([sys.executable, "-c", code], env=_env(root), stdout=subprocess.PIPE)
-        for root in (parent, change)
-    ]
-    outs = [proc.communicate()[0] for proc in procs]
-    if any(proc.returncode for proc in procs):
-        return 1
-    sides = [[json.loads(line) for line in out.splitlines()] for out in outs]
-    lines, exit_code = compare_sides(list(zip(*sides)))
-    print("\n".join(lines))
-    return exit_code
-
-
 def compare_sides(pairs: list) -> tuple:
-    """The report lines of (parent, change) summary pairs, closing line last, and the exit code."""
+    """The report lines of (parent, change) record pairs, closing line last, and the exit code."""
     lines = []
-    status = drift = parent_drift = counts = 0
+    identical = status = drift = parent_drift = counts = 0
     rel, label = 0.0, "none"
     for old, new in pairs:
         line, faults = compare_run(old["label"], old, new)
         lines.append(line)
+        identical += old["digest"] == new["digest"]
         status += "status changed" in faults
         drift += "drift grew" in faults
         parent_drift += not old["drift"] <= DRIFT_TOL
@@ -262,8 +239,8 @@ def compare_sides(pairs: list) -> tuple:
         if diff > rel:
             rel, label = diff, old["label"]
     lines.append(
-        f"{len(pairs)} runs: {status} status changes, {drift} drift regressions, "
-        f"{parent_drift} parent runs with drift above {DRIFT_TOL:g}, "
+        f"{len(pairs)} runs: {identical} identical, {status} status changes, "
+        f"{drift} drift regressions, {parent_drift} parent runs with drift above {DRIFT_TOL:g}, "
         f"{counts} runs with changed step counts, largest final rel diff {rel:.3g} ({label})"
     )
     return lines, 1 if status or drift else 0
@@ -288,14 +265,21 @@ def readme_commands(readme: Path) -> list:
     return commands
 
 
-def command_digest(env: dict, args: list) -> list:
-    """Digest lines for one CLI command run in a fresh directory."""
+def command_digest(env: dict, args: list) -> dict:
+    """sha256 of each output of one CLI command run in a fresh directory, by output name."""
     with tempfile.TemporaryDirectory() as tmp:
         cmd = [sys.executable, "-m", "pdint.cli", *args]
         proc = subprocess.run(cmd, cwd=tmp, env=env, capture_output=True)
-        blobs = [("stdout", proc.stdout), ("stderr", proc.stderr)]
+        blobs = [("exit code", str(proc.returncode).encode()),
+                 ("stdout", proc.stdout), ("stderr", proc.stderr)]
         blobs += [(path.name, path.read_bytes()) for path in sorted(Path(tmp).iterdir())]
-    return [f"exit {proc.returncode}"] + [f"{n} {hashlib.sha256(b).hexdigest()}" for n, b in blobs]
+    return {name: hashlib.sha256(blob).hexdigest() for name, blob in blobs}
+
+
+def compare_outputs(old: dict, new: dict) -> str:
+    """``identical``, or the names of the outputs that differ between two command digests."""
+    differ = [name for name in {**old, **new} if old.get(name) != new.get(name)]
+    return ", ".join(differ) or "identical"
 
 
 def _env(root: Path) -> dict:
@@ -307,24 +291,30 @@ def _env(root: Path) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("root", nargs="?", type=Path, default=Path(__file__).resolve().parents[1])
-    parser.add_argument("--compare", nargs=2, type=Path, metavar=("PARENT", "CHANGE"))
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
     args = parser.parse_args(argv)
-    if args.compare:
-        return compare_roots(*(p.resolve() for p in args.compare))
-    root = args.root.resolve()
-    env = _env(root)
-    code = "import trajectory_digest; trajectory_digest.digest_all()"
-    if subprocess.run([sys.executable, "-c", code], env=env).returncode:
+    roots = {"PARENT": args.parent.resolve(), "CHANGE": args.change.resolve()}
+    code = "import trajectory_digest; trajectory_digest.print_records()"
+    procs = {side: subprocess.Popen([sys.executable, "-c", code], env=_env(root),
+                                    stdout=subprocess.PIPE) for side, root in roots.items()}
+    outs = [proc.communicate()[0] for proc in procs.values()]
+    failed = {side: proc.returncode for side, proc in procs.items() if proc.returncode}
+    for side, returncode in failed.items():
+        print(f"{side} failed with exit code {returncode}", file=sys.stderr)
+    if failed:
         return 1
-    for cmd in readme_commands(root / "README.md"):
-        print("$ pdint " + shlex.join(cmd))
-        for line in command_digest(env, cmd):
-            print("  " + line)
+    sides = [[json.loads(line) for line in out.splitlines()] for out in outs]
+    lines, exit_code = compare_sides(list(zip(*sides, strict=True)))
+    print("\n".join(lines), flush=True)
+    for cmd in readme_commands(roots["CHANGE"] / "README.md"):
+        digests = [command_digest(_env(root), cmd) for root in roots.values()]
+        print(f"$ pdint {shlex.join(cmd)}: {compare_outputs(*digests)}", flush=True)
     # counted as perfbench/layers.src_lines counts
-    src = sorted((root / "src").rglob("*.py"))
-    print(f"src lines {sum(len(p.read_text().splitlines()) for p in src)}")
-    return 0
+    sizes = [sum(len(p.read_text().splitlines()) for p in (root / "src").rglob("*.py"))
+             for root in roots.values()]
+    print(f"src lines {sizes[0]} {sizes[1]}")
+    return exit_code
 
 
 if __name__ == "__main__":
