@@ -1,7 +1,10 @@
 """Command-line front end: trajectory runs, invariant tables, convergence
-studies, and step-size traces, all emitted as CSV for external plotting.
+studies, and step-size traces, all emitted as CSV for external plotting,
+and the correction's wall-clock overhead.  Every subcommand starts from
+``_setup`` and writes its CSV through ``_write_csv``.
 
-Exit codes: 0 success, 1 solver failure, 2 invalid configuration.
+Exit codes: 0 success, 1 when a run did not complete (its status is
+printed), 2 invalid configuration.
 """
 
 from __future__ import annotations
@@ -34,100 +37,83 @@ def _parse_params(pairs):
     return params
 
 
-def _build_model(args):
-    return get_model(args.problem, _parse_params(args.param))
-
-
-def _span(args, which="run"):
-    defaults = DEFAULT_SPANS[args.problem][which]
-    t0 = args.t0 if args.t0 is not None else defaults[0]
-    tf = args.tf if args.tf is not None else defaults[1]
-    return t0, tf
-
-
-def _build_config(args, correction=None):
-    return SolverConfig(
+def _setup(args, which="run"):
+    """Model, config and ``which`` span from ``args``; warns on flux-form all-stage correction."""
+    model = get_model(args.problem, _parse_params(args.param))
+    t0, tf = DEFAULT_SPANS[args.problem][which]
+    span = (t0 if args.t0 is None else args.t0, tf if args.tf is None else args.tf)
+    config = SolverConfig(
         method=args.method,
         mode=args.mode,
         h_fixed=args.h,
         h0=args.h0,
         atol=args.atol,
         rtol=args.rtol,
-        correction=correction if correction is not None else args.correction,
+        correction=args.correction,
         eps=args.eps,
         positivity_guard_rejection=args.guard,
     )
-
-
-def _write_trajectory_csv(path, traj):
-    d = traj.states.shape[1]
-    header = "t," + ",".join(f"y{i+1}" for i in range(d)) + ",min_component,h_used,clip_count"
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for k in range(len(traj.times)):
-            row = [_fmt(traj.times[k])]
-            row += [_fmt(v) for v in traj.states[k]]
-            row += [_fmt(traj.min_components[k]), _fmt(traj.h_used[k]), str(int(traj.clip_counts[k]))]
-            fh.write(",".join(row) + "\n")
-
-
-def _invariant_table(model, traj):
-    rows = []
-    for inv in model.invariants:
-        rows.append((inv.label, invariant_error(traj, inv.w)))
-    return rows
-
-
-def _run(args):
-    """Build the model and config from ``args`` and integrate over the run span."""
-    model = _build_model(args)
-    t0, tf = _span(args)
-    config = _build_config(args)
     if not model.multiplicand_is_state and config.correction == CorrectionMode.ALL:
         print(
             "warning: all-stages correction on a flux-form model can distort "
             "the wave dynamics; final-stage correction is recommended",
             file=sys.stderr,
         )
+    return model, config, span
+
+
+def _exit_code(traj, show_status=False) -> int:
+    """1 for a run that did not complete, after printing its status; else 0."""
+    failed = traj.status != TrajectoryStatus.COMPLETED
+    if failed or show_status:
+        print(f"status: {traj.status.value}")
+    return int(failed)
+
+
+def _write_csv(path, header, rows):
+    """One line of names, then one line per row; floats keep 17 significant digits."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+
+
+def _write_trajectory_csv(path, traj):
+    d = traj.states.shape[1]
+    header = ["t", *(f"y{i+1}" for i in range(d)), "min_component", "h_used", "clip_count"]
+    columns = zip(traj.times, traj.states, traj.min_components, traj.h_used, traj.clip_counts)
+    _write_csv(path, header, ([t, *y, m, h, int(c)] for t, y, m, h, c in columns))
+
+
+def _run(args):
+    """Set up from ``args`` and integrate over the run span."""
+    model, config, (t0, tf) = _setup(args)
     return model, integrate(model, config, t0, tf, model.y0)
 
 
 def cmd_integrate(args) -> int:
     model, traj = _run(args)
     _write_trajectory_csv(args.out, traj)
-    print(f"status: {traj.status.value}")
+    code = _exit_code(traj, show_status=True)
     print(f"steps: accepted={traj.steps_accepted} rejected={traj.steps_rejected}")
     print(f"min_component: {_fmt(traj.min_component)}")
-    for label, err in _invariant_table(model, traj):
-        print(f"E_I[{label}]: {err:.6e}")
-    return 0 if traj.status == TrajectoryStatus.COMPLETED else 1
+    for inv in model.invariants:
+        print(f"E_I[{inv.label}]: {invariant_error(traj, inv.w):.6e}")
+    return code
 
 
 def cmd_invariants(args) -> int:
     model, traj = _run(args)
-    with open(args.out, "w") as fh:
-        fh.write("invariant,E_I\n")
-        for label, err in _invariant_table(model, traj):
-            fh.write(f"{label},{_fmt(err)}\n")
-            print(f"E_I[{label}]: {err:.6e}")
-    return 0 if traj.status == TrajectoryStatus.COMPLETED else 1
-
-
-def _reference_run(model, t0, tf, args):
-    ref_cfg = SolverConfig(
-        method="sdirk43",
-        mode=args.mode,
-        atol=args.ref_tol,
-        rtol=args.ref_tol,
-        h_fixed=None if args.mode == "adaptive" else args.h / 8.0,
-        correction=CorrectionMode.NONE,
-    )
-    return integrate(model, ref_cfg, t0, tf, model.y0)
+    code = _exit_code(traj)
+    rows = [(inv.label, invariant_error(traj, inv.w)) for inv in model.invariants]
+    _write_csv(args.out, ["invariant", "E_I"], rows)
+    for label, err in rows:
+        print(f"E_I[{label}]: {err:.6e}")
+    return code
 
 
 def cmd_convergence(args) -> int:
-    model = _build_model(args)
-    t0, tf = _span(args, "convergence")
+    model, config, (t0, tf) = _setup(args, "convergence")
     if args.sweep:
         sweep = [float(v) for v in args.sweep.split(",")]
     elif args.mode == "adaptive":
@@ -137,64 +123,58 @@ def cmd_convergence(args) -> int:
     if len(sweep) < 3:
         raise ConfigurationError("need at least 3 sweep points")
     # every sweep point is validated before the (long) reference run
-    base = _build_config(args)
     if args.mode == "adaptive":
-        configs = [dataclasses.replace(base, atol=v, rtol=v) for v in sweep]
+        configs = [dataclasses.replace(config, atol=v, rtol=v) for v in sweep]
     else:
-        configs = [dataclasses.replace(base, h_fixed=v) for v in sweep]
-
-    ref = _reference_run(model, t0, tf, args)
-    if ref.status != TrajectoryStatus.COMPLETED:
-        print(f"status: {ref.status.value}")
+        configs = [dataclasses.replace(config, h_fixed=v) for v in sweep]
+    ref_cfg = SolverConfig(
+        method="sdirk43",
+        mode=args.mode,
+        atol=args.ref_tol,
+        rtol=args.ref_tol,
+        h_fixed=None if args.mode == "adaptive" else args.h / 8.0,
+        correction=CorrectionMode.NONE,
+    )
+    ref = integrate(model, ref_cfg, t0, tf, model.y0)
+    if _exit_code(ref):
         return 1
     y_ref = ref.states[-1]
-    controls, h_avgs, errors = [], [], []
-    for value, config in zip(sweep, configs):
-        traj = integrate(model, config, t0, tf, model.y0)
-        if traj.status != TrajectoryStatus.COMPLETED:
-            print(f"status: {traj.status.value}")
+    rows = []
+    for value, cfg in zip(sweep, configs):
+        traj = integrate(model, cfg, t0, tf, model.y0)
+        if _exit_code(traj):
             return 1
         err = float(np.linalg.norm(traj.states[-1] - y_ref) / np.linalg.norm(y_ref))
-        controls.append(value)
-        h_avgs.append((tf - t0) / traj.steps_accepted)
-        errors.append(err)
+        rows.append((value, (tf - t0) / traj.steps_accepted, err))
+    _controls, h_avgs, errors = zip(*rows)
     slope = fit_slope(h_avgs, errors)
-    with open(args.out, "w") as fh:
-        fh.write("control,h_avg,error\n")
-        for c, h, e in zip(controls, h_avgs, errors):
-            fh.write(f"{_fmt(c)},{_fmt(h)},{_fmt(e)}\n")
+    _write_csv(args.out, ["control", "h_avg", "error"], rows)
     print(f"slope: {slope:.6f}")
     return 0
 
 
 def cmd_steptrace(args) -> int:
     _model, traj = _run(args)
-    with open(args.out, "w") as fh:
-        fh.write("attempt,t,h,accepted,min_predictor\n")
-        for a in traj.attempts:
-            fh.write(
-                f"{a.index},{_fmt(a.t)},{_fmt(a.h)},{int(a.accepted)},{_fmt(a.min_predictor)}\n"
-            )
-    hs = [a.h for a in traj.attempts]
-    print(f"status: {traj.status.value}")
+    rows = [(a.index, a.t, a.h, int(a.accepted), a.min_predictor) for a in traj.attempts]
+    _write_csv(args.out, ["attempt", "t", "h", "accepted", "min_predictor"], rows)
+    code = _exit_code(traj, show_status=True)
     print(f"attempts: {len(traj.attempts)}")
-    if hs:
-        print(f"h_first: {_fmt(hs[0])}")
-        print(f"h_last: {_fmt(hs[-1])}")
-    return 0 if traj.status == TrajectoryStatus.COMPLETED else 1
+    if traj.attempts:
+        print(f"h_first: {_fmt(traj.attempts[0].h)}")
+        print(f"h_last: {_fmt(traj.attempts[-1].h)}")
+    return code
 
 
 def cmd_timing(args) -> int:
-    model = _build_model(args)
-    t0, tf = _span(args)
-    base = _build_config(args, correction=CorrectionMode.NONE)
-    corr = _build_config(args)
-    start = time.perf_counter()
-    integrate(model, base, t0, tf, model.y0)
-    t_base = time.perf_counter() - start
-    start = time.perf_counter()
-    integrate(model, corr, t0, tf, model.y0)
-    t_corr = time.perf_counter() - start
+    model, config, (t0, tf) = _setup(args)
+    seconds = []
+    for cfg in (dataclasses.replace(config, correction=CorrectionMode.NONE), config):
+        start = time.perf_counter()
+        traj = integrate(model, cfg, t0, tf, model.y0)
+        seconds.append(time.perf_counter() - start)
+        if _exit_code(traj):
+            return 1
+    t_base, t_corr = seconds
     print(f"uncorrected_s: {t_base:.4f}")
     print(f"corrected_s: {t_corr:.4f}")
     print(f"overhead_ratio: {t_corr / t_base:.4f}")
@@ -249,8 +229,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.mode == "fixed" and args.h is None:
-            raise ConfigurationError("fixed mode requires --h")
         return args.handler(args)
     except (ConfigurationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -75,6 +75,8 @@ class ButcherTableau:
         for v, label in ((self.b, "b"), (self.b_hat, "b_hat"), (self.c, "c")):
             if np.shape(v) != (s,) or not np.all(np.isfinite(v)):
                 raise ValueError(f"{label} must be a finite vector of length {s}")
+        if np.any(np.abs(self.c - a.sum(axis=1)) > 1e-14):
+            raise ValueError("c must equal the row sums of A")
         for w, label in ((self.b, "b"), (self.b_hat, "b_hat")):
             if abs(w.sum() - 1.0) > 1e-14:
                 raise ValueError(f"{label} weights must sum to 1")

@@ -140,6 +140,10 @@ def test_invalid_problem_exits_2(tmp_path):
                  "--out", str(tmp_path / "x.csv")]) == 2
     assert main(["integrate", "--problem", "robertson", "--param", "bogus",
                  "--out", str(tmp_path / "x.csv")]) == 2
+    # SolverConfig rejects fixed mode without a step before the default sweep reads --h
+    out = tmp_path / "conv.csv"
+    assert main(["convergence", "--problem", "robertson", "--mode", "fixed", "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_kdv_all_stages_warns(tmp_path, capsys):
@@ -153,6 +157,18 @@ def test_kdv_all_stages_warns(tmp_path, capsys):
     )
     assert rc == 0
     assert "warning" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,tf", [("convergence", "0.04"), ("timing", "0.05")])
+def test_convergence_and_timing_warn_once_on_kdv_all_stages(tmp_path, capsys, command, tf):
+    rc = main(
+        [
+            command, "--problem", "kdv", "--param", "n_cells=32", "--correction", "all",
+            "--mode", "fixed", "--h", "0.01", "--tf", tf, "--out", str(tmp_path / "k.csv"),
+        ]
+    )
+    assert rc == 0
+    assert capsys.readouterr().err.count("warning") == 1
 
 
 def test_timing_reports_ratio(tmp_path, capsys):
@@ -225,3 +241,20 @@ def test_eps_reaches_the_corrector(tmp_path):
     cli._write_trajectory_csv(library, integrate(model, config, 0.0, 1e4, model.y0))
     assert floored.read_bytes() == library.read_bytes()
     assert floored.read_bytes() != default.read_bytes()
+
+
+# the README's guard example again: both runs end step_too_small
+GUARD_RUN = ["--problem", "kdv", "--param", "n_cells=64", "--correction", "none",
+             "--guard", "--h0", "0.0035"]
+
+
+def test_timing_of_an_incomplete_run_exits_1(tmp_path, capsys):
+    assert main(["timing", *GUARD_RUN, "--out", str(tmp_path / "t.csv")]) == 1
+    captured = capsys.readouterr().out
+    assert "status: step_too_small" in captured
+    assert "overhead_ratio" not in captured
+
+
+def test_invariants_of_an_incomplete_run_names_its_status(tmp_path, capsys):
+    assert main(["invariants", *GUARD_RUN, "--out", str(tmp_path / "inv.csv")]) == 1
+    assert "status: step_too_small" in capsys.readouterr().out

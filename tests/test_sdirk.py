@@ -7,7 +7,7 @@ import scipy.linalg
 
 from pdint import sdirk
 from pdint.correction import CorrectionMode
-from pdint.pds import GraphLaplacianModel, LinearInvariant, eval_rhs
+from pdint.pds import GraphLaplacianModel, LinearInvariant, assemble_g_from_rates, eval_rhs
 from pdint.problems import robertson, stratospheric
 from pdint.sdirk import (
     ButcherTableau,
@@ -102,6 +102,7 @@ def two_stage_fields():
         ("b", [math.nan, 1.0]),
         ("b_hat", [math.inf, -math.inf]),
         ("c", [0.5, math.inf]),
+        ("c", [0.5, 0.9]),
     ],
     ids=lambda v: str(v),
 )
@@ -814,3 +815,52 @@ def test_kdv_step_hands_splu_no_stored_zeros(monkeypatch, mode):
     assert len(factored) >= 2  # Newton's I - h*gamma*J and the corrector matrix
     for a in factored:
         assert a.format == "csc" and np.count_nonzero(a.data == 0.0) == 0
+
+
+def mass_model(eval_G, dim):
+    return GraphLaplacianModel(
+        dim=dim, eval_G=eval_G, invariants=(LinearInvariant(np.ones(dim), exact=True, label="mass"),)
+    )
+
+
+def test_explicit_heun_step_is_corrected_to_nonnegative_and_conservative():
+    # gamma = 0: every stage is explicit, and b differs from the last row of A
+    heun = ButcherTableau(
+        name="heun", A=np.array([[0.0, 0.0], [1.0, 0.0]]), b=np.array([0.5, 0.5]),
+        b_hat=np.array([1.0, 0.0]), c=np.array([0.0, 1.0]), p_hat=1,
+    )
+    g = np.array([[-1.0, 0.0], [1.0, 0.0]])
+    model = mass_model(lambda t, y: g, 2)
+    plain, corrected = (
+        integrate(model, SolverConfig(method=heun, mode="fixed", h_fixed=2.5, correction=mode),
+                  0.0, 10.0, np.array([1.0, 0.0]))
+        for mode in ("none", "final")
+    )
+    assert plain.min_component < 0.0  # -5.97
+    assert corrected.status == TrajectoryStatus.COMPLETED
+    assert corrected.steps_accepted == 4
+    assert corrected.min_component >= 0.0
+    mass = corrected.invariant_values["mass"]
+    assert np.max(np.abs(mass - mass[0])) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "h",
+    [
+        pytest.param(0.92, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 13")),
+        0.23,
+    ],
+)
+def test_final_correction_with_negative_weights_keeps_mass(h):
+    # sdirk43's b2 and b4 are negative; at h = 0.92 the averaged matrix loses
+    # its M-matrix sign pattern, three raw corrector entries go negative, and
+    # their clip raises the mass by 10.3%; at h = 0.23 nothing is clipped
+    rates = np.array([[0.0, 0.0036, 0.091], [0.24, 0.0, 890.0], [26.0, 0.023, 0.0]])
+    k = np.array([[-5.0, 2.0, 6.0], [2.0, 0.0, -7.0], [-2.0, 8.0, -5.0]])
+    model = mass_model(
+        # each donor row i is divided by 1 + y_i**2
+        lambda t, y: assemble_g_from_rates(rates * np.exp(k * t) / (1.0 + y**2)[:, np.newaxis]), 3
+    )
+    y_n = np.array([4.9, 0.0, 2.6e-4])
+    out = corrected_step(model, 0.0, y_n, h, SolverConfig(method="sdirk43", correction="final"))
+    assert abs(out.y_corrected.sum() - y_n.sum()) <= 1e-12 * y_n.sum()
