@@ -155,13 +155,12 @@ def cmd_convergence(args) -> int:
 
 def cmd_steptrace(args) -> int:
     _model, traj = _run(args)
-    rows = [(a.index, a.t, a.h, int(a.accepted), a.min_predictor) for a in traj.attempts]
+    rows = [(k, a.t, a.h, int(a.accepted), a.min_predictor) for k, a in enumerate(traj.attempts)]
     _write_csv(args.out, ["attempt", "t", "h", "accepted", "min_predictor"], rows)
     code = _exit_code(traj, show_status=True)
     print(f"attempts: {len(traj.attempts)}")
-    if traj.attempts:
-        print(f"h_first: {_fmt(traj.attempts[0].h)}")
-        print(f"h_last: {_fmt(traj.attempts[-1].h)}")
+    print(f"h_first: {_fmt(traj.attempts[0].h)}")
+    print(f"h_last: {_fmt(traj.attempts[-1].h)}")
     return code
 
 
@@ -175,6 +174,8 @@ def cmd_timing(args) -> int:
         if _exit_code(traj):
             return 1
     t_base, t_corr = seconds
+    rows = [("none", t_base), (config.correction.value, t_corr)]
+    _write_csv(args.out, ["correction", "seconds"], rows)
     print(f"uncorrected_s: {t_base:.4f}")
     print(f"corrected_s: {t_corr:.4f}")
     print(f"overhead_ratio: {t_corr / t_base:.4f}")

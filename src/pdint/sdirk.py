@@ -44,6 +44,9 @@ _STAGE_MAX_ITER, _STAGE_TOL = 50, 1e-12
 _MAX_ATTEMPTS = 2_000_000
 # entries of the buffer that collects a finite-difference Jacobian's rhs values (512 KiB)
 _FD_BUFFER = 1 << 16
+# a Trajectory's attempt rows; min_predictor is NaN after a failed solve, clip_count 0 if rejected
+ATTEMPT_DTYPE = np.dtype([("t", "f8"), ("h", "f8"), ("accepted", "?"),
+                          ("min_predictor", "f8"), ("clip_count", "i8")])
 
 
 class ConfigurationError(ValueError):
@@ -232,15 +235,6 @@ class TrajectoryStatus(str, Enum):
 
 
 @dataclass
-class StepAttempt:
-    index: int
-    t: float
-    h: float
-    accepted: bool
-    min_predictor: float
-
-
-@dataclass
 class StepOutcome:
     y_pred: np.ndarray
     y_corrected: np.ndarray
@@ -250,13 +244,23 @@ class StepOutcome:
 
 @dataclass
 class Trajectory:
-    times: np.ndarray
     states: np.ndarray
-    h_used: np.ndarray
-    clip_counts: np.ndarray
-    attempts: list
+    attempts: np.recarray
     status: TrajectoryStatus
     invariant_values: dict
+
+    @cached_property
+    def times(self) -> np.ndarray:
+        a = self.attempts
+        return np.concatenate((a.t[:1], (a.t + a.h)[a.accepted]))
+
+    @cached_property
+    def h_used(self) -> np.ndarray:
+        return np.concatenate(([0.0], self.attempts.h[self.attempts.accepted]))
+
+    @cached_property
+    def clip_counts(self) -> np.ndarray:
+        return np.concatenate(([0], self.attempts.clip_count[self.attempts.accepted]))
 
     @property
     def min_components(self) -> np.ndarray:
@@ -268,7 +272,7 @@ class Trajectory:
 
     @property
     def steps_accepted(self) -> int:
-        return len(self.times) - 1
+        return len(self.states) - 1
 
     @property
     def steps_rejected(self) -> int:
@@ -550,7 +554,7 @@ def integrate(model, config: SolverConfig, t0: float, tf: float, y0) -> Trajecto
     else:
         h = config.h0 if config.h0 is not None else span * 1e-4
 
-    times, states, h_hist, clips, attempts = [t0], [y], [0.0], [0], []
+    states, attempts = [y], []  # attempts: one ATTEMPT_DTYPE row tuple each
     status = TrajectoryStatus.COMPLETED
     growth_locked = False
     t = t0
@@ -560,7 +564,7 @@ def integrate(model, config: SolverConfig, t0: float, tf: float, y0) -> Trajecto
             break
         if fixed:
             # step onto the uniform grid to avoid accumulation drift
-            h_try = t0 + len(times) * h - t
+            h_try = t0 + len(states) * h - t
         else:
             h_try = min(h, tf - t)
         try:
@@ -570,14 +574,11 @@ def integrate(model, config: SolverConfig, t0: float, tf: float, y0) -> Trajecto
         min_pred = math.nan if out is None else float(out.y_pred.min())
         passed = out is not None and (fixed or out.err <= 1.0)  # fixed steps take no error test
         accept = passed and not (config.positivity_guard_rejection and min_pred < 0.0)
-        attempts.append(StepAttempt(len(attempts), t, h_try, accept, min_pred))
+        attempts.append((t, h_try, accept, min_pred, out.diagnostics.clip_count if accept else 0))
         if accept:
             t += h_try
             y = out.y_corrected
-            times.append(t)
             states.append(y)
-            h_hist.append(h_try)
-            clips.append(out.diagnostics.clip_count)
             growth_locked = False
             if not fixed:
                 h = h_try * _step_factor(out.err, config.tab.p_hat)
@@ -599,11 +600,8 @@ def integrate(model, config: SolverConfig, t0: float, tf: float, y0) -> Trajecto
     states = np.array(states)
     weights = [np.asarray(inv.w, dtype=float) for inv in model.invariants]
     return Trajectory(
-        times=np.array(times),
         states=states,
-        h_used=np.array(h_hist),
-        clip_counts=np.array(clips),
-        attempts=attempts,
+        attempts=np.array(attempts, dtype=ATTEMPT_DTYPE).view(np.recarray),
         status=status,
         invariant_values={
             inv.label or f"inv{k}": np.array([float(w @ y) for y in states])

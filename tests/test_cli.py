@@ -182,6 +182,10 @@ def test_timing_reports_ratio(tmp_path, capsys):
     assert rc == 0
     captured = capsys.readouterr().out
     assert "overhead_ratio:" in captured
+    header, *rows = [line.split(",") for line in (tmp_path / "t.csv").read_text().splitlines()]
+    assert header == ["correction", "seconds"]
+    assert [r[0] for r in rows] == ["none", "final"]
+    assert all(float(r[1]) > 0.0 for r in rows)
 
 
 @pytest.mark.parametrize(
@@ -253,6 +257,7 @@ def test_timing_of_an_incomplete_run_exits_1(tmp_path, capsys):
     captured = capsys.readouterr().out
     assert "status: step_too_small" in captured
     assert "overhead_ratio" not in captured
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_invariants_of_an_incomplete_run_names_its_status(tmp_path, capsys):

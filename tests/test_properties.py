@@ -2,11 +2,13 @@
 
 Hypothesis draws the model, the state, the step size, the tableau and
 the correction mode; ``derandomize=True`` makes every run draw the same
-examples, so the tests are deterministic.
+examples, so the tests are deterministic.  The tableau is a built-in one,
+or a random stiffly accurate one over time-dependent rates.
 """
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from pdint.correction import clip
@@ -19,6 +21,7 @@ from pdint.pds import (
     assemble_h_from_destruction,
 )
 from pdint.sdirk import (
+    ButcherTableau,
     SolverConfig,
     StageConvergenceError,
     corrected_step,
@@ -112,3 +115,61 @@ def test_h_form_corrected_step_is_nonnegative_and_conserves_mass(step):
     y = _corrected(model, y_n, h, method, mode)
     if y is not None and _stage_reach(model, y_n, h, method, mode) <= MASS_REACH:
         assert abs(y.sum() - y_n.sum()) <= 1e-12 * y_n.sum()
+
+
+@st.composite
+def tableaus(draw, negative=False):
+    """A random stiffly accurate tableau with A >= 0, or, with ``negative``, with at
+    least one negative weight in b = A[-1]; rows above the last are >= 0 in both."""
+    s = draw(st.integers(3 if negative else 2, 4))  # two stages leave b_1 = 1 - gamma > 0
+    gamma = draw(st.floats(0.1, 0.6))
+    a = np.diag(np.full(s, gamma))
+    for i in range(1, s - 1):
+        a[i, :i] = draw(st.lists(st.floats(0.0, 1.0), min_size=i, max_size=i))
+    last = st.lists(st.floats(-1.0 if negative else 0.0, 1.0), min_size=s - 1, max_size=s - 1)
+    w = np.array(draw(last.filter(lambda w: sum(w) >= 0.1 and (min(w) < 0.0 or not negative))))
+    a[-1, :-1] = w * ((1.0 - gamma) / w.sum())  # b sums to 1
+    return ButcherTableau(
+        name="random", A=a, b=a[-1].copy(), b_hat=np.full(s, 1.0 / s), c=a.sum(axis=1), p_hat=1
+    )
+
+
+@st.composite
+def timed_steps(draw, negative=False):
+    """A step of a random tableau over rates R * exp(K t) / (1 + y_donor**2)."""
+    d = draw(st.integers(2, 6))
+    rates = np.array(draw(st.lists(_rate(), min_size=d * d, max_size=d * d))).reshape(d, d)
+    np.fill_diagonal(rates, 0.0)
+    k = np.array(draw(st.lists(st.floats(-8.0, 8.0), min_size=d * d, max_size=d * d)))
+    k = k.reshape(d, d)
+    eval_G = lambda t, y: assemble_g_from_rates(rates * np.exp(k * t) / (1.0 + y * y)[:, None])
+    mass = LinearInvariant(np.ones(d), exact=True, label="mass")
+    model = GraphLaplacianModel(dim=d, eval_G=eval_G, invariants=(mass,))
+    y_n = np.array(draw(st.lists(_level(), min_size=d, max_size=d).filter(lambda v: max(v) > 0.0)))
+    h = 10.0 ** draw(st.floats(-3.0, 0.5))
+    tab = draw(tableaus(negative))
+    mode = draw(st.sampled_from(["final", "all"]))
+    return model, y_n, h, tab, mode
+
+
+def _keeps_mass_at_stage_times(step):
+    model, y_n, h, tab, mode = step
+    y = _corrected(model, y_n, h, tab, mode)
+    reach = h * max(np.abs(model.matrix(c * h, y_n)).max() for c in tab.c)
+    if y is not None and reach <= MASS_REACH:
+        assert abs(y.sum() - y_n.sum()) <= 1e-12 * y_n.sum()
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(timed_steps())
+def test_nonnegative_weights_keep_mass_under_time_dependent_rates(step):
+    _keeps_mass_at_stage_times(step)
+
+
+# no shrink phase: the strict xfail needs one failing draw, not the smallest one
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 13")
+@settings(max_examples=300, derandomize=True, deadline=None, database=None,
+          phases=(Phase.explicit, Phase.generate))
+@given(timed_steps(negative=True))
+def test_negative_weights_keep_mass_under_time_dependent_rates(step):
+    _keeps_mass_at_stage_times(step)

@@ -520,6 +520,35 @@ def test_attempts_split_into_accepted_and_rejected(mode):
     _assert_counts(traj)
 
 
+def test_attempt_record_holds_each_step_once(monkeypatch):
+    from pdint.problems import KdvConfig, kdv
+
+    clips = {}
+    real = sdirk.corrected_step
+
+    def step(model, t, y, h, config):
+        out = real(model, t, y, h, config)
+        clips[t, h] = out.diagnostics.clip_count
+        return out
+
+    monkeypatch.setattr(sdirk, "corrected_step", step)
+    model = kdv(KdvConfig(n_cells=64))
+    cfg = SolverConfig(method="sdirk32", correction="all", atol=1e-3, rtol=1e-3, h0=0.35e-2)
+    traj = integrate(model, cfg, 0.0, 0.35, model.y0)
+    a = traj.attempts
+    assert a.nbytes <= 48 * len(a)
+    ok = a.accepted
+    assert traj.times[1:].tobytes() == (a.t + a.h)[ok].tobytes()
+    assert traj.h_used[1:].tobytes() == a.h[ok].tobytes()
+    assert traj.clip_counts[1:].tobytes() == a.clip_count[ok].tobytes()
+    assert traj.clip_counts.dtype == np.int64
+    assert a.clip_count[ok].tolist() == [clips[r.t, r.h] for r in a[ok]]
+    # the rejected steps clipped too, but a rejected row records no clips
+    assert any(clips[r.t, r.h] > 0 for r in a[~ok])
+    assert not a.clip_count[~ok].any()
+    _assert_counts(traj)
+
+
 def test_fixed_mode_rejects_the_positivity_guard():
     # the guard retries with half the step, which a fixed grid cannot take
     with pytest.raises(ConfigurationError):

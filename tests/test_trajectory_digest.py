@@ -36,17 +36,17 @@ def test_readme_commands_join_continuations_drop_comments_and_skip_timing(tmp_pa
 
 
 def synthetic(states, status="completed", rejected=0):
-    """A hand-made trajectory through ``states``, with ``rejected`` extra attempts."""
+    """A hand-made trajectory through ``states``: unit steps, then ``rejected`` rejected attempts."""
     from pdint import Trajectory, TrajectoryStatus
+    from pdint.sdirk import ATTEMPT_DTYPE
 
     states = np.array(states, dtype=float)
     n = len(states)
+    rows = [(k, 1.0, True, 0.0, 0) for k in range(n - 1)]
+    rows += [(n - 1, 1.0, False, 0.0, 0)] * rejected
     return Trajectory(
-        times=np.arange(n, dtype=float),
         states=states,
-        h_used=np.ones(n),
-        clip_counts=np.zeros(n, dtype=int),
-        attempts=[None] * (n - 1 + rejected),
+        attempts=np.array(rows, dtype=ATTEMPT_DTYPE).view(np.recarray),
         status=TrajectoryStatus(status),
         invariant_values={},
     )

@@ -5,7 +5,7 @@ Usage: python tools/trajectory_digest.py PARENT CHANGE
 Runs a fixed set of 151 integrations against PARENT/src and CHANGE/src,
 both at once, with BLAS pinned to one thread; per run, each side prints
 one JSON record: a sha256 over every field of its ``Trajectory`` and
-every ``StepAttempt``, its status, accepted and rejected step counts,
+every attempt row, its status, accepted and rejected step counts,
 final state and largest exact-invariant drift (the ``invariant_error``
 of the invariant's weights).  The tool then prints one line per run,
 ``identical`` when the two digests match and otherwise both statuses
@@ -149,8 +149,8 @@ def trajectory_digest(traj) -> str:
         h.update(label.encode())
         h.update(np.ascontiguousarray(traj.invariant_values[label], dtype=float).tobytes())
     h.update(traj.status.value.encode())
-    for a in traj.attempts:
-        h.update(f"{a.index} {a.t.hex()} {a.h.hex()} {a.accepted} {a.min_predictor.hex()};".encode())
+    for k, a in enumerate(traj.attempts):
+        h.update(f"{k} {a.t.hex()} {a.h.hex()} {a.accepted} {a.min_predictor.hex()};".encode())
     return h.hexdigest()
 
 
