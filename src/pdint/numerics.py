@@ -51,7 +51,10 @@ def _check_pivots(lu, info: int) -> None:
     # info > 0 flags an exactly zero pivot, which the pivot test also catches
     if info < 0:
         raise ValueError(f"LAPACK: illegal value in argument {-info}")
-    if np.abs(lu.diagonal()).min() < PIVOT_TOL:
+    diag = lu.diagonal()
+    # min over Python floats skips numpy's per-call cost; a NaN pivot passes,
+    # as it passes ``np.abs(diag).min() < PIVOT_TOL``
+    if min(map(abs, diag.tolist())) < PIVOT_TOL and not np.isnan(diag).any():
         raise SingularMatrixError("singular matrix: pivot below 1e-300")
 
 
@@ -84,7 +87,7 @@ def lu_solve(a, b: np.ndarray, overwrite_a: bool = False) -> np.ndarray:
     SingularMatrixError
         If any pivot magnitude falls below :data:`PIVOT_TOL`.
     """
-    if issparse(a):
+    if not isinstance(a, np.ndarray) and issparse(a):
         return _splu(a).solve(np.asarray(b, dtype=float))
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -171,7 +174,10 @@ def weighted_rms(delta: np.ndarray, y_ref: np.ndarray, atol, rtol: float) -> flo
     ``delta`` and ``y_ref`` must be float arrays of one shape; the result
     equals :func:`wrms_norm`'s bit for bit.
     """
-    v = delta / (atol + rtol * np.abs(y_ref))
+    v = np.abs(y_ref)  # the weights atol + rtol*|y_ref|, formed in place
+    v *= rtol
+    v += atol
+    v = delta / v
     v *= v
     return math.sqrt(np.add.reduce(v) / v.size)
 

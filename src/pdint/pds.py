@@ -85,9 +85,19 @@ class HFormModel:
 
 def eval_rhs(model, t: float, y: np.ndarray) -> np.ndarray:
     """Right-hand side f(t, y) = matrix(t, y) @ multiplicand(y)."""
+    return eval_slope(model, t, y)[0]
+
+
+def eval_slope(model, t: float, y: np.ndarray):
+    """``(f, m)``: the right-hand side f(t, y) and the matrix m that gave it.
+
+    ``m`` is None when an H-form model's ``eval_rhs`` fast path gives f
+    without assembling the matrix.
+    """
     if not model.multiplicand_is_state and model.eval_rhs is not None:
-        return model.eval_rhs(y)
-    return model.matrix(t, y) @ model.multiplicand(y)
+        return model.eval_rhs(y), None
+    m = model.matrix(t, y)
+    return m @ model.multiplicand(y), m
 
 
 @dataclass

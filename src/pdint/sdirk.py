@@ -33,7 +33,7 @@ from .correction import (
 from .correction import h_form_corrector, stage_corrected_g  # noqa: F401
 from .numerics import SingularMatrixError, identity_minus, lu_solve, vector, wrms_norm
 from .numerics import lu_back_solve, lu_factor, weighted_rms
-from .pds import eval_rhs
+from .pds import eval_rhs, eval_slope
 
 _TINY = 1e-30
 # step-size controller: safety factor and bounds on the step ratio
@@ -397,7 +397,7 @@ def solve_stage(model, t_stage, y_n, h, a_ii, rhs_accum, newton_factors=None):
     rhs = y_n + rhs_accum
     if a_ii == 0.0:
         return rhs, newton_factors
-    scale = max(np.abs(y_n).max(), np.abs(rhs).max(), _TINY)
+    scale = max(np.abs(y_n).max(initial=_TINY), np.abs(rhs).max(initial=_TINY))
     atol_it = _STAGE_TOL * np.minimum(np.maximum(model.y_scale, _TINY), scale)
     h_aii = h * a_ii
     y = rhs
@@ -437,51 +437,75 @@ def predictor_step(model, t_n, y_n, h, config: SolverConfig):
     predicted solution stays the last stage as solved, and the embedded
     estimate takes its final slope there.
     """
+    return _predict(model, t_n, y_n, h, config)[:4]
+
+
+def _predict(model, t_n, y_n, h, config):
+    """:func:`predictor_step`, and the matrix that gave each stage its slope.
+
+    The fifth result holds, per stage, the matrix at the stage as solved,
+    or None where the slope came without one: from an H-form model's
+    ``eval_rhs`` fast path, or from an all-stage corrected stage.
+    """
     tab = config.tab
     a, c = tab.A, tab.c
+    all_stage = config.correction == CorrectionMode.ALL
     diag = CorrectionDiagnostics()
-    stages, fs, mats = [], [], []
+    stages, fs, slope_mats, mats = [], [], [], []
     factors = None  # every stage of the step has the same h*gamma
     for i in range(tab.s):
-        rhs_accum = np.zeros_like(y_n)
+        rhs_accum = np.zeros(y_n.shape)
         for j in range(i):
             rhs_accum += (h * a[i, j]) * fs[j]
         t_i = t_n + c[i] * h
         y_p, factors = solve_stage(model, t_i, y_n, h, a[i, i], rhs_accum, factors)
-        y_i, f_i = y_p, None
-        if config.correction == CorrectionMode.ALL:
-            y_i, f_i = _all_stage_correction(model, config, i, t_i, y_n, h, y_p, stages, mats, diag)
+        y_i, f_i, m_i = y_p, None, None
+        if not all_stage or i == tab.s - 1:  # the slope at the stage as solved
+            f_i, m_i = eval_slope(model, t_i, y_p)
+        if all_stage:
+            y_i, f_c = _all_stage_correction(model, config, i, t_i, y_n, h, y_p, m_i, stages, mats, diag)
+            if f_i is None:
+                f_i = f_c
         stages.append(y_i)
-        fs.append(eval_rhs(model, t_i, y_p) if f_i is None else f_i)
+        fs.append(f_i)
+        slope_mats.append(m_i)
     if tab.stiffly_accurate:
         y_pred = y_p
     else:
         y_pred = y_n + h * sum(bj * fj for bj, fj in zip(tab.b, fs))
     y_hat = y_n + h * sum(bj * fj for bj, fj in zip(tab.b_hat, fs))
-    return stages, y_pred, y_hat, diag
+    return stages, y_pred, y_hat, diag, slope_mats
 
 
-def _final_stage_correction(model, config, t_n, y_n, h, stages, y_pred):
+def _matrix_at_clip(model, t, y, m):
+    """The matrix at (t, clip(y)): ``m``, the one at (t, y), if clip leaves y as it is, else a new one."""
+    if m is None or np.count_nonzero(np.signbit(y)):  # clip also turns -0.0 into 0.0
+        return model.matrix(t, clip(y))
+    return m
+
+
+def _final_stage_correction(model, config, t_n, y_n, h, stages, y_pred, slope_mats):
     diag = CorrectionDiagnostics()
     mats = []
-    for i, y_i in enumerate(stages):
+    for i, (y_i, m_i) in enumerate(zip(stages, slope_mats)):
         diag.absorb_negatives(y_i)
-        mats.append(model.matrix(t_n + config.tab.c[i] * h, clip(y_i)))
+        mats.append(_matrix_at_clip(model, t_n + config.tab.c[i] * h, y_i, m_i))
     sigmas = [ratio_scaling(model.multiplicand(y_i), y_pred, config.eps) for y_i in stages]
     y_raw = corrector_solve(y_n, h, averaged_g_final(config.tab.b, mats, sigmas))
     diag.absorb_negatives(y_raw)
     return clip(y_raw), diag
 
 
-def _all_stage_correction(model, config, i, t_i, y_n, h, y_p, stages, mats, diag):
+def _all_stage_correction(model, config, i, t_i, y_n, h, y_p, m_p, stages, mats, diag):
     """Correct the predicted stage ``i``, ``y_p``, against the corrected earlier stages.
 
-    Returns the corrected stage and, when later stages follow, its
-    slope; its matrix is then appended to ``mats`` for them to read.
+    ``m_p`` is the matrix at ``y_p``, or None.  Returns the corrected
+    stage and, when later stages follow, its slope; its matrix is then
+    appended to ``mats`` for them to read.
     """
     a_row, eps = config.tab.A[i, : i + 1], config.eps
     diag.absorb_negatives(y_p)
-    m_diag = model.matrix(t_i, clip(y_p))
+    m_diag = _matrix_at_clip(model, t_i, y_p, m_p)
     # a graph-Laplacian diagonal term multiplies the predicted stage itself
     ones = np.ones_like(y_p)
     sig_diag = ones if model.multiplicand_is_state else ratio_scaling(ones, y_p, eps)
@@ -504,11 +528,11 @@ def corrected_step(model, t_n, y_n, h, config: SolverConfig) -> StepOutcome:
     :func:`integrate`.
     """
     mode = config.correction
-    stages, y_pred, y_hat, diag = predictor_step(model, t_n, y_n, h, config)
+    stages, y_pred, y_hat, diag, slope_mats = _predict(model, t_n, y_n, h, config)
     # all-stage correction has already corrected the last stage
     y_corr = stages[-1] if mode == CorrectionMode.ALL else y_pred
     if mode == CorrectionMode.FINAL:
-        y_corr, diag = _final_stage_correction(model, config, t_n, y_n, h, stages, y_pred)
+        y_corr, diag = _final_stage_correction(model, config, t_n, y_n, h, stages, y_pred, slope_mats)
     if mode != CorrectionMode.NONE:
         diag.scaling_active = diag.clip_count > 0 or bool(np.any(y_pred < config.eps))
     err = wrms_norm(y_pred - y_hat, y_pred, config.atol, config.rtol)

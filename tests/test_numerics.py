@@ -9,9 +9,11 @@ import pytest
 import scipy.linalg
 import scipy.sparse.linalg
 from scipy import sparse
+from scipy.linalg.lapack import dgesv, dgetrf
 
 import pdint
 from pdint.numerics import (
+    PIVOT_TOL,
     SingularMatrixError,
     fit_slope,
     identity_minus,
@@ -82,13 +84,41 @@ def test_superlu_errors_other_than_singularity_pass_through(monkeypatch):
         assert not isinstance(info.value, SingularMatrixError)
 
 
+def pivot_cases():
+    """Diagonal matrices with a tiny pivot, a NaN pivot, both in either order, or neither."""
+    for d in (2, 6, 9, 16):
+        for entries in ({}, {0: 1e-301}, {d - 1: 1e-301}, {0: math.nan}, {d - 1: math.nan},
+                        {0: 1e-301, d - 1: math.nan}, {0: math.nan, d - 1: 1e-301}):
+            diag = np.full(d, 2.0)
+            for i, v in entries.items():
+                diag[i] = v
+            yield pytest.param(np.diag(diag), id=f"d{d}-{entries}")
+
+
+@pytest.mark.parametrize("a", pivot_cases())
+def test_pivot_test_raises_exactly_when_the_reference_expression_does(a):
+    # the reference: the pivot test on the factors LAPACK itself gives, as numpy
+    # states it; a NaN pivot makes the minimum NaN, and NaN < PIVOT_TOL is False
+    b = np.ones(a.shape[0])
+    for solve, factors in ((lambda: lu_solve(a, b), dgesv(a, b)[0]),
+                           (lambda: lu_factor(a.copy(order="F")), dgetrf(a)[0])):
+        if np.abs(factors.diagonal()).min() < PIVOT_TOL:
+            with pytest.raises(SingularMatrixError):
+                solve()
+        else:
+            solve()
+
+
 def test_dense_runs_do_not_import_scipy_sparse():
     # only KdV builds sparse matrices; a kinetics run must not pay for the import
     code = (
         "import sys\n"
-        "from pdint import SolverConfig, get_model, integrate\n"
-        "model = get_model('robertson')\n"
-        "integrate(model, SolverConfig(method='sdirk21', correction='final'), 0.0, 1.0, model.y0)\n"
+        "from pdint import DEFAULT_SPANS, SolverConfig, get_model, integrate\n"
+        "for problem, method in (('robertson', 'sdirk21'), ('mapk', 'sdirk32'), ('stratospheric', 'sdirk32')):\n"
+        "    model = get_model(problem)\n"
+        "    t0 = DEFAULT_SPANS[problem]['convergence'][0]\n"
+        "    for mode in ('final', 'all'):\n"
+        "        integrate(model, SolverConfig(method=method, correction=mode), t0, t0 + 1.0, model.y0)\n"
         "assert 'scipy.sparse' not in sys.modules, 'scipy.sparse was imported'\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(pdint.__file__).parents[1])}
@@ -253,6 +283,12 @@ def test_weighted_rms_equals_wrms_norm_bit_for_bit():
         v *= v
         expected = math.sqrt(v.sum() / v.size)  # the formula as ndarray.sum writes it
         assert weighted_rms(delta, y_ref, atol, rtol) == wrms_norm(delta, y_ref, atol, rtol) == expected
+    delta, y_ref = np.array(0.3), np.array(-2.0)  # 0-d arrays, which wrms_norm accepts
+    for atol in (1e-6, np.array(1e-6)):
+        v = delta / (atol + 1e-3 * np.abs(y_ref))
+        v *= v
+        expected = math.sqrt(v.sum() / v.size)
+        assert weighted_rms(delta, y_ref, atol, 1e-3) == wrms_norm(delta, y_ref, atol, 1e-3) == expected
 
 
 def test_fit_slope_exact_quadratic():

@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 
 from pdint import sdirk
-from pdint.correction import CorrectionMode
+from pdint.correction import CorrectionMode, averaged_g_final, clip, corrector_solve, ratio_scaling
 from pdint.pds import GraphLaplacianModel, LinearInvariant, assemble_g_from_rates, eval_rhs
 from pdint.problems import robertson, stratospheric
 from pdint.sdirk import (
@@ -225,6 +225,47 @@ def test_corrected_step_restores_positivity_and_mass():
     assert out.diagnostics.scaling_active
     w_nitrogen = model.invariants[1].w
     assert w_nitrogen @ out.y_corrected == pytest.approx(w_nitrogen @ y_n, rel=1e-12)
+
+
+@pytest.mark.parametrize("problem, t_n, y_n, h, method", [
+    ("robertson", 0.0, np.array([0.9, 2e-5, 0.1]), 1.0, "sdirk32"),
+    # the sunset step above, whose predictor undershoots
+    ("stratospheric", 70206.12450645771,
+     np.array([5.1072981229793005e-06, 2.6976319523012135e-06, 1.7780219185944734e09,
+               1.6970796662147938e16, 1.0684618727971621e09, 2.8038127202820368e07]),
+     2.205506169108543, "sdirk21"),
+], ids=["clean", "clipped"])
+def test_final_correction_builds_matrices_only_for_clipped_stages(monkeypatch, problem, t_n, y_n, h, method):
+    model = robertson() if problem == "robertson" else stratospheric()
+    cfg = SolverConfig(method=method, correction="final")
+    calls = []
+
+    def counted(t, y):
+        calls.append(t)
+        return model.eval_G(t, y)
+
+    inside = []
+    real = sdirk._final_stage_correction
+
+    def spy(*args):
+        before = len(calls)
+        out = real(*args)
+        inside.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(sdirk, "_final_stage_correction", spy)
+    out = corrected_step(dataclasses.replace(model, eval_G=counted), t_n, y_n, h, cfg)
+
+    # the reference corrector evaluates every matrix at clip(Y_i)
+    stages, y_pred, _, _ = predictor_step(model, t_n, y_n, h, cfg)
+    tab = cfg.tab
+    mats = [model.matrix(t_n + tab.c[i] * h, clip(y_i)) for i, y_i in enumerate(stages)]
+    sigmas = [ratio_scaling(y_i, y_pred, cfg.eps) for y_i in stages]
+    expected = clip(corrector_solve(y_n, h, averaged_g_final(tab.b, mats, sigmas)))
+    assert np.array_equal(out.y_corrected, expected)
+    negative = sum(bool(np.any(y_i < 0.0)) for y_i in stages)
+    assert inside == [negative]
+    assert (negative > 0) == (problem == "stratospheric")
 
 
 def test_all_stages_on_flux_form_model_conserves_and_stays_nonnegative():
