@@ -377,10 +377,14 @@ def solve_stage(model, t_stage, y_n, h, a_ii, rhs_accum, newton_factors=None):
     the corrector's M-matrix solve; a finite-difference Newton fallback
     takes over once two more iterations at the observed rate would not
     converge: d_k * (d_k / d_{k-1})**2 > 1 for the update norms d_k
-    below.  H-form models go straight to Newton (no G*y structure).
-    Picard allows ``_STAGE_MAX_ITER // 2`` iterations, Newton
-    ``_STAGE_MAX_ITER`` per start.  A failed Newton is retried once from
-    clip(y_n + rhs_accum) with a fresh matrix, unless that would repeat it.
+    below.  Picard runs only while the step holds no factored Newton
+    matrix: given ``newton_factors``, a graph-Laplacian stage starts
+    Newton from y_n with them, since one back-solve costs less than a
+    Picard update that refactors.  H-form models go straight to Newton
+    from y_n + rhs_accum (no G*y structure).  Picard allows
+    ``_STAGE_MAX_ITER // 2`` iterations, Newton ``_STAGE_MAX_ITER`` per
+    start.  A failed Newton is retried once from clip(y_n + rhs_accum)
+    with a fresh matrix, unless that would repeat it.
     Returns ``(Y, factors)``: Newton's factored I - h*a_ii*J, which the
     next stage of the step takes as ``newton_factors`` (same h*a_ii).
 
@@ -400,10 +404,9 @@ def solve_stage(model, t_stage, y_n, h, a_ii, rhs_accum, newton_factors=None):
     scale = max(np.abs(y_n).max(initial=_TINY), np.abs(rhs).max(initial=_TINY))
     atol_it = _STAGE_TOL * np.minimum(np.maximum(model.y_scale, _TINY), scale)
     h_aii = h * a_ii
-    y = rhs
-    if model.multiplicand_is_state:
+    y = y_n if model.multiplicand_is_state else rhs
+    if model.multiplicand_is_state and newton_factors is None:
         eye = np.eye(y_n.size)
-        y = y_n.copy()
         prev = math.inf
         for _ in range(_STAGE_MAX_ITER // 2):
             g = model.matrix(t_stage, y)
@@ -411,14 +414,14 @@ def solve_stage(model, t_stage, y_n, h, a_ii, rhs_accum, newton_factors=None):
             dn = weighted_rms(y_new - y, y_new, atol_it, _STAGE_TOL)
             y = y_new
             if dn <= 1.0:
-                return y, newton_factors
+                return y, None
             if dn * (dn / prev) ** 2 > 1.0:
                 break  # two more updates at this rate would not converge: Newton
             prev = dn
     try:
         return _newton_stage(model, t_stage, rhs, h_aii, y, atol_it, newton_factors)
     except StageConvergenceError:
-        # Newton from a Picard iterate can find no descent (stratospheric sdirk21, h = 3600 s)
+        # Newton from a Picard iterate or y_n can find no descent (stratospheric sdirk21, h = 3600 s)
         start = clip(rhs)
         if newton_factors is None and np.array_equal(start, y):
             raise  # the restart would repeat the failed attempt

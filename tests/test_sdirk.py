@@ -679,6 +679,33 @@ def test_handed_over_stage_matches_newton_oracle(monkeypatch, newton_stage_oracl
     assert np.max(np.abs(y - y_oracle)) <= 1e-10 * (1.0 + np.max(np.abs(y_oracle)))
 
 
+@pytest.mark.parametrize("method", ["sdirk21", "sdirk32", "sdirk43"])
+def test_stages_after_the_first_newton_factorization_skip_picard(monkeypatch, newton_stage_oracle, method):
+    # MAPK's first stage makes two Picard updates and hands over to Newton;
+    # every later stage has the same h*gamma, so it goes straight to Newton
+    # with the factored matrix the first stage left
+    from pdint.problems import mapk
+
+    model, h = mapk(), 0.5
+    tab = tableau(method)
+    solves = _count_calls(monkeypatch, "lu_solve")
+    builds = _count_calls(monkeypatch, "_fd_jacobian")
+    newton = _count_calls(monkeypatch, "_newton_stage")
+    config = SolverConfig(method=method, mode="fixed", h_fixed=h)
+    predictor_step(model, model.t0, model.y0, h, config)
+    assert (len(solves), len(builds), len(newton)) == (2, 1, tab.s)
+
+    t1, t2 = model.t0 + tab.c[0] * h, model.t0 + tab.c[1] * h
+    y1, factors = solve_stage(model, t1, model.y0, h, tab.A[0, 0], np.zeros(model.dim))
+    assert factors is not None
+    rhs_accum = h * tab.A[1, 0] * eval_rhs(model, t1, y1)
+    solves.clear()
+    y2, _ = solve_stage(model, t2, model.y0, h, tab.A[1, 1], rhs_accum, factors)
+    assert len(solves) == 0
+    y_oracle = newton_stage_oracle(model, t2, model.y0, h, tab.A[1, 1], rhs_accum)
+    assert np.max(np.abs(y2 - y_oracle)) <= 1e-10 * (1.0 + np.max(np.abs(y_oracle)))
+
+
 @pytest.mark.parametrize("method", ["sdirk21", "sdirk32"])
 def test_newton_stages_of_one_step_share_one_factored_matrix(monkeypatch, method):
     # every stage of an SDIRK step has the same h*gamma, so one Jacobian
@@ -847,16 +874,29 @@ def test_robertson_sdirk32_large_fixed_steps_complete(h):
 
 
 @pytest.mark.parametrize("mode", ["none", "final", "all"])
-def test_newton_restart_completes_large_fixed_photochemistry_steps(mode):
-    # at h = 3600 s from 12 h, Newton from a Picard iterate with the factors
-    # of the previous stage finds no descent; only the restart from
-    # clip(rhs) with a fresh matrix completes the step
+def test_newton_restart_completes_large_fixed_photochemistry_steps(monkeypatch, mode):
+    # at h = 3600 s from 12 h, the uncorrected run has a second stage whose
+    # Newton, started from y_n with the first stage's factors, finds no
+    # descent; only the restart from clip(rhs) with a fresh matrix
+    # completes that step
     from pdint.pds import invariant_error
 
+    real, failures = sdirk._newton_stage, []
+
+    def newton(*args):
+        try:
+            return real(*args)
+        except StageConvergenceError:
+            failures.append(None)
+            raise
+
+    monkeypatch.setattr(sdirk, "_newton_stage", newton)
     model = stratospheric()
     config = SolverConfig(method="sdirk21", mode="fixed", h_fixed=3600.0, correction=mode)
     traj = integrate(model, config, 12 * 3600.0, 36 * 3600.0, model.y0)
     assert traj.status == TrajectoryStatus.COMPLETED, traj.attempts[-1]
+    if mode == "none":
+        assert len(failures) >= 1, "the restart was not exercised"
     assert traj.steps_accepted == 24
     m_n = next(inv for inv in model.invariants if inv.label == "M_N")
     assert invariant_error(traj, m_n.w) <= 1e-12
