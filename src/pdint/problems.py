@@ -171,16 +171,21 @@ class KdvConfig:
         return self.x_lo + (np.arange(self.n_cells) + 0.5) * self.dx
 
 
-def _kdv_rates(cfg: KdvConfig, y: np.ndarray) -> np.ndarray:
-    """Transfer rates across interfaces -1/2 .. n-1/2 (periodic), n+1 values.
+def kdv_interface_rates(cfg: KdvConfig, y: np.ndarray) -> np.ndarray:
+    """Signed transfer rate across each interface i+1/2 (periodic).
+
+    Positive rate at interface i+1/2 moves mass from cell i+1 into cell
+    i.  The cell flux is -(alpha*y^2 + rho*y + nu*Lx y) with Lx the
+    periodic three-point second difference; interface values are the
+    arithmetic mean of the adjacent cell fluxes.
 
     Computed from one ghost-padded copy of ``y`` by slices and in-place
     ufuncs; every entry gets the floating-point operations of the formulas
     in the comments below, in their order.
     """
     dx = cfg.dx
-    p = np.concatenate((y[-2:], y, y[:2]))  # cells -2 .. n+1
-    mid = p[1:-1]  # cells -1 .. n
+    p = np.concatenate((y[-1:], y, y[:2]))  # cells -1 .. n+1
+    mid = p[1:-1]  # cells 0 .. n
     # lap_i = ((y_{i-1} - 2 y_i) + y_{i+1}) / dx^2
     lap = mid * 2.0
     np.subtract(p[:-2], lap, out=lap)
@@ -200,18 +205,14 @@ def _kdv_rates(cfg: KdvConfig, y: np.ndarray) -> np.ndarray:
     return rate
 
 
-def kdv_interface_rates(cfg: KdvConfig, y: np.ndarray) -> np.ndarray:
-    """Signed transfer rate across each interface i+1/2 (periodic).
-
-    Positive rate at interface i+1/2 moves mass from cell i+1 into cell
-    i.  The cell flux is -(alpha*y^2 + rho*y + nu*Lx y) with Lx the
-    periodic three-point second difference; interface values are the
-    arithmetic mean of the adjacent cell fluxes.
-    """
-    return _kdv_rates(cfg, y)[1:]
-
-
 def kdv(cfg: KdvConfig | None = None) -> HFormModel:
+    """Periodic finite-volume KdV in H-form, y' = H(y) 1.
+
+    ``eval_H`` assembles H from :func:`kdv_interface_rates`, and the fast
+    ``eval_rhs`` is the five-point difference form of the same divergence,
+    rate_{i+1/2} - rate_{i-1/2} with the flux expanded: it equals
+    H(y) 1 up to rounding, and gives exactly 0 on a constant state.
+    """
     from scipy import sparse  # only KdV builds sparse matrices
 
     cfg = cfg or KdvConfig()
@@ -237,9 +238,26 @@ def kdv(cfg: KdvConfig | None = None) -> HFormModel:
         values = np.concatenate((up, -(up + down), down))
         return sparse.csc_array((values.take(slot), indices, indptr), shape=(n, n))
 
+    # rhs_i = (flux_{i+1} - flux_{i-1}) / (2 dx)
+    #       = a (y_{i+1}^2 - y_{i-1}^2) + b (y_{i+1} - y_{i-1}) + c (y_{i+2} - y_{i-2}),
+    # taken as (y_{i+1} - y_{i-1}) (a (y_{i+1} + y_{i-1}) + b) + c (y_{i+2} - y_{i-2}):
+    # every term multiplies a difference, so a constant state gives exactly 0
+    dx = cfg.dx
+    a = -cfg.alpha / (2.0 * dx)
+    b = (2.0 * cfg.nu / dx**2 - cfg.rho) / (2.0 * dx)
+    c = -cfg.nu / (2.0 * dx**3)
+
     def eval_rhs(y):
-        rate = _kdv_rates(cfg, y)  # rhs_i = rate_{i+1/2} - rate_{i-1/2}
-        return np.subtract(rate[1:], rate[:-1])
+        p = np.concatenate((y[-2:], y, y[:2]))  # cells -2 .. n+1
+        up, down = p[3:-1], p[1:-3]  # cells i+1 and i-1
+        rhs = np.add(up, down)
+        rhs *= a
+        rhs += b
+        rhs *= np.subtract(up, down)
+        far = np.subtract(p[4:], p[:-4])  # cells i+2 and i-2
+        far *= c
+        rhs += far
+        return rhs
 
     # rhs_i reads cells i-2 .. i+2, so column j of the Jacobian holds rows j-2 .. j+2
     stencil = (idx[:, None] + np.arange(-2, 3)) % n

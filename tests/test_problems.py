@@ -216,20 +216,50 @@ def roll_stencil(cfg, y):
     return rate, rate - np.roll(rate, 1)
 
 
-@pytest.mark.parametrize("settings", [{}, {"alpha": -0.7, "rho": 0.3, "nu": 2.5}],
-                         ids=["default", "alpha-rho-nu"])
-@pytest.mark.parametrize("n", [8, 64, 1024])
-def test_kdv_stencil_equals_the_roll_formulas_bit_for_bit(n, settings):
-    cfg = KdvConfig(n_cells=n, **settings)
-    model = kdv(cfg)
+def kdv_draws(n):
+    """Twenty signed states, each with up to n/8 exact zeros, seeded by n."""
     rng = np.random.default_rng(n)
     for _ in range(20):
         y = 3.0 * rng.standard_normal(n)
         y[rng.integers(0, n, size=max(1, n // 8))] = 0.0
+        yield y
+
+
+KDV_SETTINGS = pytest.mark.parametrize(
+    "settings", [{}, {"alpha": -0.7, "rho": 0.3, "nu": 2.5}], ids=["default", "alpha-rho-nu"]
+)
+
+
+@KDV_SETTINGS
+@pytest.mark.parametrize("n", [8, 64, 1024])
+def test_kdv_rates_bitwise_rhs_within_rounding_of_roll_formulas(n, settings):
+    cfg = KdvConfig(n_cells=n, **settings)
+    model = kdv(cfg)
+    dx, eps = cfg.dx, np.finfo(float).eps
+    for y in [*kdv_draws(n), kdv_initial(cfg)]:
         rate, rhs = roll_stencil(cfg, y)
-        for got, ref in ((kdv_interface_rates(cfg, y), rate), (model.eval_rhs(y), rhs)):
-            assert np.array_equal(got, ref)
-            assert np.array_equal(np.signbit(got), np.signbit(ref))  # zeros keep their sign
+        got = kdv_interface_rates(cfg, y)
+        assert np.array_equal(got, rate)
+        assert np.array_equal(np.signbit(got), np.signbit(rate))  # zeros keep their sign
+        # eval_rhs is the five-point difference form: the same function, rounded
+        # otherwise; T bounds the size of its terms
+        ymax = np.abs(y).max()
+        t = (abs(cfg.alpha) * ymax**2 + abs(cfg.rho) * ymax + 4.0 * cfg.nu * ymax / dx**2) / dx
+        assert np.abs(model.eval_rhs(y) - rhs).max() <= 8.0 * eps * t
+
+
+@KDV_SETTINGS
+@pytest.mark.parametrize("n", [8, 64, 1024])
+def test_kdv_rhs_shift_and_reversal_symmetry_bit_for_bit(n, settings):
+    model = kdv(KdvConfig(n_cells=n, **settings))
+    for y in kdv_draws(n):
+        rhs = model.eval_rhs(y)
+        for k in (1, 2, 3, n // 2, n - 1):  # the wrap-around reads of cells i-2 .. i+2
+            got = model.eval_rhs(np.roll(y, k))
+            assert np.array_equal(got, np.roll(rhs, k))
+            assert np.array_equal(np.signbit(got), np.signbit(np.roll(rhs, k)))
+        # x - y == -(y - x) exactly; a zero may change sign, which == ignores
+        assert np.array_equal(model.eval_rhs(y[::-1]), -rhs[::-1])
 
 
 def test_kdv_initial_profile():
