@@ -155,7 +155,9 @@ def cmd_convergence(args) -> int:
 
 def cmd_steptrace(args) -> int:
     _model, traj = _run(args)
-    rows = [(k, a.t, a.h, int(a.accepted), a.min_predictor) for k, a in enumerate(traj.attempts)]
+    at = traj.attempts  # rows from whole columns: a per-row record access is slow
+    rows = zip(range(len(at)), at.t.tolist(), at.h.tolist(), at.accepted.astype(int).tolist(),
+               at.min_predictor.tolist())
     _write_csv(args.out, ["attempt", "t", "h", "accepted", "min_predictor"], rows)
     code = _exit_code(traj, show_status=True)
     print(f"attempts: {len(traj.attempts)}")

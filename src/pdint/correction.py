@@ -34,7 +34,8 @@ class CorrectionDiagnostics:
     max_negative_clipped: float = 0.0
     scaling_active: bool = False
 
-    def absorb_negatives(self, v: np.ndarray) -> None:
+    def absorb_negatives(self, v: np.ndarray) -> int:
+        """Record the negative entries of ``v``, which a clip zeroes; returns their number."""
         neg = v < 0.0
         n = int(np.count_nonzero(neg))
         if n:
@@ -42,6 +43,7 @@ class CorrectionDiagnostics:
             self.max_negative_clipped = max(
                 self.max_negative_clipped, float(-v[neg].min())
             )
+        return n
 
 
 def clip(v: np.ndarray) -> np.ndarray:
@@ -120,7 +122,7 @@ def corrector_solve(y_n: np.ndarray, h: float, g_bar: np.ndarray) -> np.ndarray:
     d = y_n.shape[0]
     if g_bar.shape != (d, d):
         raise ValueError(f"dimension mismatch: {g_bar.shape} vs vector of size {d}")
-    return lu_solve(identity_minus(h, g_bar), y_n, overwrite_a=True)
+    return lu_solve(identity_minus(h, g_bar), y_n)
 
 
 def h_form_corrector(

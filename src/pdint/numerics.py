@@ -12,7 +12,7 @@ import math
 import sys
 
 import numpy as np
-from scipy.linalg.lapack import dgesv, dgetrf, dgetrs
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 # A pivot below this magnitude is treated as an exact singularity.  The
 # threshold sits near the underflow limit on purpose: the matrices solved
@@ -75,45 +75,25 @@ def _splu(a):
     return lu
 
 
-def lu_solve(a, b: np.ndarray, overwrite_a: bool = False) -> np.ndarray:
-    """Solve ``a @ x = b`` by LU factorization with partial pivoting.
-
-    With ``overwrite_a`` a Fortran-ordered float ``a`` is factored in
-    place, which saves a copy of it; the caller must not read ``a`` again.
-    A ``scipy.sparse`` ``a`` is factored by SuperLU and never overwritten.
-
-    Raises
-    ------
-    SingularMatrixError
-        If any pivot magnitude falls below :data:`PIVOT_TOL`.
-    """
-    if not isinstance(a, np.ndarray) and issparse(a):
-        return _splu(a).solve(np.asarray(b, dtype=float))
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
-    if b.shape[0] != a.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    lu, _piv, x, info = dgesv(a, b, overwrite_a=overwrite_a)  # one call factors and solves
-    _check_pivots(lu, info)
-    return x
+def lu_solve(a, b: np.ndarray) -> np.ndarray:
+    """Solve ``a @ x = b`` once: :func:`lu_back_solve` on :func:`lu_factor`'s factors of ``a``."""
+    return lu_back_solve(lu_factor(a), b)
 
 
 def lu_factor(a):
-    """Factor a square ``a`` once for many solves with :func:`lu_back_solve`.
+    """Factor a square ``a`` by LU with partial pivoting, for :func:`lu_back_solve`.
 
-    A Fortran-ordered float ``a`` is factored in place.  Factors, solutions
-    and :class:`SingularMatrixError` match :func:`lu_solve` bit for bit.
-    The factors are ``(lu, piv)`` for a dense ``a`` and a SuperLU object
-    for a ``scipy.sparse`` one.
+    The factors are ``(lu, piv)`` from LAPACK's ``dgetrf`` for a dense
+    ``a`` and a SuperLU object for a ``scipy.sparse`` one; ``a`` is left
+    unchanged.  Raises :class:`SingularMatrixError` if a pivot magnitude
+    falls below :data:`PIVOT_TOL`.
     """
-    if issparse(a):
+    if not isinstance(a, np.ndarray) and issparse(a):
         return _splu(a)
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
-    lu, piv, info = dgetrf(a, overwrite_a=True)
+    lu, piv, info = dgetrf(a)
     _check_pivots(lu, info)
     return lu, piv
 
@@ -121,7 +101,7 @@ def lu_factor(a):
 def lu_back_solve(factors, b: np.ndarray) -> np.ndarray:
     """Solve ``a @ x = b`` from the factors that :func:`lu_factor` gave for ``a``."""
     if not isinstance(factors, tuple):
-        return factors.solve(b)  # SuperLU
+        return factors.solve(np.asarray(b, dtype=float))  # SuperLU
     x, _info = dgetrs(*factors, b)  # info < 0 cannot occur once dgetrf accepted the matrix
     return x
 
@@ -131,8 +111,7 @@ def identity_minus(c: float, m):
 
     Equal, entry for entry, to ``np.eye(d) - c*m`` (up to the sign of zero
     entries), without building the identity or a scaled copy of ``m``: at
-    large d each of those is a full d x d temporary.  The result is
-    Fortran-ordered, so :func:`lu_solve` can factor it in place.
+    large d each of those is a full d x d temporary.
 
     A ``scipy.sparse`` ``m``, in any format, gives a new CSC matrix with the
     entries of ``scipy.sparse.eye_array(d) - c*m`` and no stored zeros:
@@ -144,8 +123,8 @@ def identity_minus(c: float, m):
         a.setdiag(a.diagonal() + 1.0)
         a.eliminate_zeros()  # as the sparse difference drops zero results
         return a
-    a = np.multiply(m, -c, order="F")
-    a.flat[:: a.shape[0] + 1] += 1.0
+    a = np.multiply(m, -c)
+    a.ravel(order="K")[:: a.shape[0] + 1] += 1.0  # a view: the new array is contiguous
     return a
 
 

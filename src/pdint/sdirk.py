@@ -295,7 +295,7 @@ def _fd_jacobian(model, t, y, f0):
     nb = min(d, max(1, _FD_BUFFER // d))  # columns per buffer
     buf = np.empty((nb, d))
     if pattern is None:
-        jac = np.empty((d, d), order="F")
+        jac = np.empty((d, d))
     else:
         from scipy import sparse
 
@@ -494,9 +494,24 @@ def _final_stage_correction(model, config, t_n, y_n, h, stages, y_pred, slope_ma
         diag.absorb_negatives(y_i)
         mats.append(_matrix_at_clip(model, t_n + config.tab.c[i] * h, y_i, m_i))
     sigmas = [ratio_scaling(model.multiplicand(y_i), y_pred, config.eps) for y_i in stages]
-    y_raw = corrector_solve(y_n, h, averaged_g_final(config.tab.b, mats, sigmas))
-    diag.absorb_negatives(y_raw)
-    return clip(y_raw), diag
+    return _corrector_output(y_n, h, config.tab.b, mats, sigmas, diag), diag
+
+
+def _corrector_output(y_n, h, weights, mats, sigmas, diag, output=True):
+    """clip((I - h*sum_j w_j G_j diag(sigma_j))^{-1} y_n); ``diag`` records the clip.
+
+    A negative weight can cost that matrix its M-matrix sign pattern.  If
+    the step's ``output`` then has a negative entry, it is solved again with
+    w+ = max(w, 0) * sum(w) / sum(max(w, 0)), which keeps the sign pattern
+    and so conserves the invariants.  A clipped intermediate stage cannot
+    change them: its corrector starts from y_n.
+    """
+    y_raw = corrector_solve(y_n, h, averaged_g_final(weights, mats, sigmas))
+    if diag.absorb_negatives(y_raw) and output and min(weights) < 0.0:
+        w_pos = np.maximum(weights, 0.0)
+        w_pos *= np.sum(weights) / w_pos.sum()
+        y_raw = corrector_solve(y_n, h, averaged_g_final(w_pos, mats, sigmas))
+    return clip(y_raw)
 
 
 def _all_stage_correction(model, config, i, t_i, y_n, h, y_p, m_p, stages, mats, diag):
@@ -513,11 +528,10 @@ def _all_stage_correction(model, config, i, t_i, y_n, h, y_p, m_p, stages, mats,
     ones = np.ones_like(y_p)
     sig_diag = ones if model.multiplicand_is_state else ratio_scaling(ones, y_p, eps)
     sigmas = [ratio_scaling(model.multiplicand(y_j), y_p, eps) for y_j in stages]
-    g_bar = averaged_g_final([a_row[-1], *a_row[:-1]], [m_diag, *mats], [sig_diag, *sigmas])
-    y_raw = corrector_solve(y_n, h, g_bar)
-    diag.absorb_negatives(y_raw)
-    y_i = clip(y_raw)
-    if i == config.tab.s - 1:
+    last = i == config.tab.s - 1
+    y_i = _corrector_output(y_n, h, [a_row[-1], *a_row[:-1]], [m_diag, *mats], [sig_diag, *sigmas],
+                            diag, output=last)
+    if last:
         return y_i, None
     m_i = model.matrix(t_i, y_i)
     mats.append(m_i)

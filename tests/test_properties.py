@@ -7,8 +7,7 @@ or a random stiffly accurate one over time-dependent rates.
 """
 
 import numpy as np
-import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdint.correction import clip
@@ -166,10 +165,7 @@ def test_nonnegative_weights_keep_mass_under_time_dependent_rates(step):
     _keeps_mass_at_stage_times(step)
 
 
-# no shrink phase: the strict xfail needs one failing draw, not the smallest one
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 13")
-@settings(max_examples=300, derandomize=True, deadline=None, database=None,
-          phases=(Phase.explicit, Phase.generate))
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
 @given(timed_steps(negative=True))
 def test_negative_weights_keep_mass_under_time_dependent_rates(step):
     _keeps_mass_at_stage_times(step)

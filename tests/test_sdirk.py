@@ -816,7 +816,7 @@ def test_fd_jacobian_buffered_by_runs_of_columns_is_unchanged(monkeypatch, colum
     jac = sdirk._fd_jacobian(model, 0.0, y, f)
     assert jac.data.tobytes() == expected.data.tobytes()
     dense = sdirk._fd_jacobian(dense_model, 0.0, y, f)
-    assert dense.tobytes(order="F") == np.asfortranarray(dense_expected).tobytes(order="F")
+    assert dense.tobytes() == dense_expected.tobytes()
 
 
 @pytest.mark.parametrize("mode", ["final", "all"])
@@ -954,17 +954,12 @@ def test_explicit_heun_step_is_corrected_to_nonnegative_and_conservative():
     assert np.max(np.abs(mass - mass[0])) <= 1e-12
 
 
-@pytest.mark.parametrize(
-    "h",
-    [
-        pytest.param(0.92, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 13")),
-        0.23,
-    ],
-)
+@pytest.mark.parametrize("h", [0.92, 0.23])
 def test_final_correction_with_negative_weights_keeps_mass(h):
     # sdirk43's b2 and b4 are negative; at h = 0.92 the averaged matrix loses
-    # its M-matrix sign pattern, three raw corrector entries go negative, and
-    # their clip raises the mass by 10.3%; at h = 0.23 nothing is clipped
+    # its M-matrix sign pattern and three raw corrector entries go negative,
+    # whose clip would raise the mass by 10.3%, so the output is solved again
+    # with the positive weights; at h = 0.23 nothing is clipped
     rates = np.array([[0.0, 0.0036, 0.091], [0.24, 0.0, 890.0], [26.0, 0.023, 0.0]])
     k = np.array([[-5.0, 2.0, 6.0], [2.0, 0.0, -7.0], [-2.0, 8.0, -5.0]])
     model = mass_model(
