@@ -86,10 +86,11 @@ def averaged_g_final(weights, g_list, sigma_list):
             term.data *= w
             out = term if out is None else out + term
         return out
-    out = np.zeros((d, d))
-    term = np.empty((d, d))  # reused: at large d each temporary is a full matrix
-    for w, g, sig in zip(weights, g_list, sigma_list):
-        np.multiply(g, sig[np.newaxis, :], out=term)
+    out = np.multiply(g_list[0], sigma_list[0], dtype=float)  # sigma scales the columns
+    out *= weights[0]
+    out += 0.0  # the zero signs of a sum started from zeros: -0.0 becomes 0.0
+    for w, g, sig in zip(weights[1:], g_list[1:], sigma_list[1:]):
+        term = np.multiply(g, sig, dtype=float)
         term *= w
         out += term
     return out

@@ -140,6 +140,8 @@ def wrms_norm(
     y_ref = np.asarray(y_ref, dtype=float)
     if delta.shape != y_ref.shape:
         raise ValueError(f"dimension mismatch: {delta.shape} vs {y_ref.shape}")
+    if isinstance(atol, np.ndarray) and atol.ndim and atol.shape != delta.shape:
+        raise ValueError(f"dimension mismatch: atol {atol.shape} vs {delta.shape}")
     if not (atol.min() if isinstance(atol, np.ndarray) else atol) > 0.0:  # NaN fails too
         raise ValueError("atol must be positive")
     if not rtol >= 0.0:
@@ -151,8 +153,21 @@ def weighted_rms(delta: np.ndarray, y_ref: np.ndarray, atol, rtol: float) -> flo
     """:func:`wrms_norm` without its argument checks, for callers that already hold valid ones.
 
     ``delta`` and ``y_ref`` must be float arrays of one shape; the result
-    equals :func:`wrms_norm`'s bit for bit.
+    equals :func:`wrms_norm`'s bit for bit.  Below 8 entries it sums over
+    Python floats in order, as ``np.add.reduce`` does there (from 8 on,
+    numpy keeps 8 partial sums), without numpy's per-call cost.
     """
+    n = delta.size
+    if 0 < n < 8:
+        ats = atol.ravel().tolist() if isinstance(atol, np.ndarray) else [float(atol)]
+        if len(ats) == 1:
+            ats *= n
+        acc = 0.0
+        # an explicit loop: from Python 3.12, sum() of floats is compensated
+        for d, y, a in zip(delta.ravel().tolist(), y_ref.ravel().tolist(), ats):
+            q = d / (a + rtol * abs(y))
+            acc += q * q
+        return math.sqrt(acc / n)
     v = np.abs(y_ref)  # the weights atol + rtol*|y_ref|, formed in place
     v *= rtol
     v += atol

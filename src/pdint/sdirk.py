@@ -97,6 +97,12 @@ class ButcherTableau:
     def stiffly_accurate(self) -> bool:
         return bool(np.array_equal(self.b, self.A[-1]))
 
+    @cached_property
+    def floats(self) -> tuple[list, list, list, list]:
+        """``(A, b, b_hat, c)`` in Python floats: products with them round as
+        numpy scalars' do, without numpy's scalar cost."""
+        return self.A.tolist(), self.b.tolist(), self.b_hat.tolist(), self.c.tolist()
+
 
 def _sdirk21() -> ButcherTableau:
     gamma = 1.0 - 1.0 / math.sqrt(2.0)
@@ -369,6 +375,14 @@ def _newton_stage(model, t, rhs, h_aii, y_init, atol_it, a_fact):
     return y, a_fact
 
 
+def _abs_max(v):
+    """``np.abs(v).max(initial=_TINY)``, in Python floats below 8 entries, NaN included."""
+    if v.size >= 8:
+        return np.abs(v).max(initial=_TINY)
+    vs = list(map(abs, v.tolist()))
+    return math.nan if any(map(math.isnan, vs)) else max([_TINY, *vs])
+
+
 def solve_stage(model, t_stage, y_n, h, a_ii, rhs_accum, newton_factors=None):
     """Solve one implicit stage Y = y_n + rhs_accum + h*a_ii*f(t, Y).
 
@@ -401,7 +415,7 @@ def solve_stage(model, t_stage, y_n, h, a_ii, rhs_accum, newton_factors=None):
     rhs = y_n + rhs_accum
     if a_ii == 0.0:
         return rhs, newton_factors
-    scale = max(np.abs(y_n).max(initial=_TINY), np.abs(rhs).max(initial=_TINY))
+    scale = max(_abs_max(y_n), _abs_max(rhs))
     atol_it = _STAGE_TOL * np.minimum(np.maximum(model.y_scale, _TINY), scale)
     h_aii = h * a_ii
     y = y_n if model.multiplicand_is_state else rhs
@@ -451,7 +465,7 @@ def _predict(model, t_n, y_n, h, config):
     ``eval_rhs`` fast path, or from an all-stage corrected stage.
     """
     tab = config.tab
-    a, c = tab.A, tab.c
+    a, b, b_hat, c = tab.floats
     all_stage = config.correction == CorrectionMode.ALL
     diag = CorrectionDiagnostics()
     stages, fs, slope_mats, mats = [], [], [], []
@@ -459,9 +473,9 @@ def _predict(model, t_n, y_n, h, config):
     for i in range(tab.s):
         rhs_accum = np.zeros(y_n.shape)
         for j in range(i):
-            rhs_accum += (h * a[i, j]) * fs[j]
+            rhs_accum += (h * a[i][j]) * fs[j]
         t_i = t_n + c[i] * h
-        y_p, factors = solve_stage(model, t_i, y_n, h, a[i, i], rhs_accum, factors)
+        y_p, factors = solve_stage(model, t_i, y_n, h, a[i][i], rhs_accum, factors)
         y_i, f_i, m_i = y_p, None, None
         if not all_stage or i == tab.s - 1:  # the slope at the stage as solved
             f_i, m_i = eval_slope(model, t_i, y_p)
@@ -475,8 +489,8 @@ def _predict(model, t_n, y_n, h, config):
     if tab.stiffly_accurate:
         y_pred = y_p
     else:
-        y_pred = y_n + h * sum(bj * fj for bj, fj in zip(tab.b, fs))
-    y_hat = y_n + h * sum(bj * fj for bj, fj in zip(tab.b_hat, fs))
+        y_pred = y_n + h * sum(bj * fj for bj, fj in zip(b, fs))
+    y_hat = y_n + h * sum(bj * fj for bj, fj in zip(b_hat, fs))
     return stages, y_pred, y_hat, diag, slope_mats
 
 
@@ -488,13 +502,14 @@ def _matrix_at_clip(model, t, y, m):
 
 
 def _final_stage_correction(model, config, t_n, y_n, h, stages, y_pred, slope_mats):
+    _, b, _, c = config.tab.floats
     diag = CorrectionDiagnostics()
     mats = []
     for i, (y_i, m_i) in enumerate(zip(stages, slope_mats)):
         diag.absorb_negatives(y_i)
-        mats.append(_matrix_at_clip(model, t_n + config.tab.c[i] * h, y_i, m_i))
+        mats.append(_matrix_at_clip(model, t_n + c[i] * h, y_i, m_i))
     sigmas = [ratio_scaling(model.multiplicand(y_i), y_pred, config.eps) for y_i in stages]
-    return _corrector_output(y_n, h, config.tab.b, mats, sigmas, diag), diag
+    return _corrector_output(y_n, h, b, mats, sigmas, diag), diag
 
 
 def _corrector_output(y_n, h, weights, mats, sigmas, diag, output=True):
@@ -521,7 +536,7 @@ def _all_stage_correction(model, config, i, t_i, y_n, h, y_p, m_p, stages, mats,
     stage and, when later stages follow, its slope; its matrix is then
     appended to ``mats`` for them to read.
     """
-    a_row, eps = config.tab.A[i, : i + 1], config.eps
+    a_row, eps = config.tab.floats[0][i][: i + 1], config.eps
     diag.absorb_negatives(y_p)
     m_diag = _matrix_at_clip(model, t_i, y_p, m_p)
     # a graph-Laplacian diagonal term multiplies the predicted stage itself

@@ -245,3 +245,34 @@ def test_averaged_g_final_on_one_sparse_pattern_equals_the_general_sparse_sum():
         assert np.array_equal(fast.indptr, general.indptr)
         assert np.array_equal(fast.indices, general.indices)
         assert fast.data.tobytes() == general.data.tobytes()
+
+
+def zeros_started_sum(weights, g_list, sigma_list):
+    """The dense sum as a zero matrix accumulating each scaled term: the reference."""
+    d = g_list[0].shape[0]
+    out = np.zeros((d, d))
+    term = np.empty((d, d))
+    for w, g, sig in zip(weights, g_list, sigma_list):
+        np.multiply(g, sig[np.newaxis, :], out=term)
+        term *= w
+        out += term
+    return out
+
+
+@pytest.mark.parametrize("terms", [1, 2, 3, 4, 5])
+def test_dense_averaged_g_final_equals_the_zeros_started_sum_byte_for_byte(terms):
+    rng = np.random.default_rng(terms)
+    for _ in range(400):
+        d = int(rng.integers(1, 7))
+        g_list = [rng.standard_normal((d, d)) * (rng.random((d, d)) < 0.6) for _ in range(terms)]
+        for g in g_list:
+            g[rng.random((d, d)) < 0.3] = -0.0
+        sigma_list = [np.where(rng.random(d) < 0.3, rng.choice([0.0, -0.0]), rng.random(d))
+                      for _ in range(terms)]
+        weights = rng.choice([-0.5, -0.0, 0.0, 0.25, 1.0], terms) * rng.random(terms)
+        for ws in (weights, weights.tolist()):
+            out = averaged_g_final(ws, g_list, sigma_list)
+            assert out.tobytes() == zeros_started_sum(ws, g_list, sigma_list).tobytes()
+    ints = [np.arange(4).reshape(2, 2) - 2] * terms, [np.array([1, 3])] * terms  # integer arrays
+    out = averaged_g_final([0.5] * terms, *ints)
+    assert out.tobytes() == zeros_started_sum([0.5] * terms, *ints).tobytes()

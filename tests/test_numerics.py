@@ -301,6 +301,62 @@ def test_weighted_rms_equals_wrms_norm_bit_for_bit():
         assert weighted_rms(delta, y_ref, atol, 1e-3) == wrms_norm(delta, y_ref, atol, 1e-3) == expected
 
 
+def reduce_wrms(delta, y_ref, atol, rtol):
+    """The norm as numpy's ``add.reduce`` forms it: the reference at every size."""
+    v = delta / (atol + rtol * np.abs(y_ref))
+    v *= v
+    return math.sqrt(np.add.reduce(v) / v.size)
+
+
+def wrms_draws(rng, d):
+    """Entries of magnitude 1e-150 to 1e150, a third of the draws with signed zeros and subnormals."""
+    for k in range(300):
+        delta, y_ref = rng.standard_normal((2, d)) * 10.0 ** rng.uniform(-150, 150, (2, d))
+        if k % 3 == 0:
+            special = rng.choice([0.0, -0.0, 5e-324, -3e-310, 2.2e-308], (2, d))
+            mask = rng.random((2, d)) < 0.4
+            delta[mask[0]], y_ref[mask[1]] = special[0][mask[0]], special[1][mask[1]]
+        yield delta, y_ref
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_weighted_rms_sums_as_numpy_does_on_both_sides_of_8_entries(d):
+    rng = np.random.default_rng(100 + d)
+    for delta, y_ref in wrms_draws(rng, d):
+        rtol = float(rng.choice([0.0, 1e-12, 1e-3]))
+        vector_atol = 10.0 ** rng.uniform(-3, 0, d)  # no square overflows
+        for atol in (float(vector_atol[0]), np.float64(vector_atol[0]), np.array(vector_atol[0]),
+                     vector_atol):
+            expected = reduce_wrms(delta, y_ref, atol, rtol)
+            assert weighted_rms(delta, y_ref, atol, rtol) == wrms_norm(delta, y_ref, atol, rtol)
+            assert weighted_rms(delta, y_ref, atol, rtol) == expected
+    delta, y_ref = np.array(-3e-310), np.array(-0.0)  # 0-d arrays
+    for atol in (1e-3, np.array(1e-3)):
+        expected = reduce_wrms(delta, y_ref, atol, 1e-3)
+        assert weighted_rms(delta, y_ref, atol, 1e-3) == wrms_norm(delta, y_ref, atol, 1e-3) == expected
+
+
+@pytest.mark.parametrize("d", [3, 7, 8, 9])
+def test_weighted_rms_gives_inf_on_overflow_and_nan_on_nan_without_raising(d):
+    big, tiny, ones = np.full(d, 1e200), np.full(d, 1e-200), np.ones(d)
+    nan = ones.copy()
+    nan[-1] = math.nan
+    with np.errstate(all="ignore"):
+        assert reduce_wrms(big, tiny, 1e-200, 0.0) == math.inf
+    # numpy only warns on these; below 8 entries no numpy arithmetic runs, so nothing may raise
+    with np.errstate(all="raise" if d < 8 else "ignore"):
+        assert weighted_rms(big, tiny, 1e-200, 0.0) == wrms_norm(big, tiny, tiny, 0.0) == math.inf
+        assert math.isnan(weighted_rms(nan, ones, 1e-6, 1e-6))
+        assert math.isnan(wrms_norm(ones, nan, 1e-6, 1e-6))
+        assert math.isnan(weighted_rms(np.full(d, math.inf), ones, 1e-6, math.inf))  # inf / inf
+
+
+def test_wrms_norm_rejects_an_atol_of_another_length():
+    for atol in (np.full(2, 1e-6), np.full(4, 1e-6), np.full((1, 3), 1e-6)):
+        with pytest.raises(ValueError, match="atol"):
+            wrms_norm(np.ones(3), np.ones(3), atol, 0.0)
+
+
 def test_fit_slope_exact_quadratic():
     assert fit_slope([0.1, 0.05, 0.025], [1e-2, 2.5e-3, 6.25e-4]) == pytest.approx(
         2.0, abs=1e-12

@@ -969,3 +969,45 @@ def test_final_correction_with_negative_weights_keeps_mass(h):
     y_n = np.array([4.9, 0.0, 2.6e-4])
     out = corrected_step(model, 0.0, y_n, h, SolverConfig(method="sdirk43", correction="final"))
     assert abs(out.y_corrected.sum() - y_n.sum()) <= 1e-12 * y_n.sum()
+
+
+@pytest.mark.parametrize("name", ["sdirk21", "sdirk32", "sdirk43"])
+def test_a_user_tableau_integrates_as_the_built_in_one_of_the_same_coefficients(name):
+    built_in = tableau(name)
+    user = ButcherTableau(
+        name="user", A=np.array(built_in.A.tolist()), b=np.array(built_in.b.tolist()),
+        b_hat=np.array(built_in.b_hat.tolist()), c=np.array(built_in.c.tolist()),
+        p_hat=built_in.p_hat,
+    )
+    model = stratospheric()
+    for correction in ("none", "final", "all"):
+        if correction == "all" and not built_in.stiffly_accurate:
+            continue
+        a, b = (integrate(model, SolverConfig(method=m, correction=correction), model.t0,
+                          model.t0 + 60.0, model.y0) for m in (name, user))
+        assert a.states.tobytes() == b.states.tobytes()
+        assert a.attempts.tobytes() == b.attempts.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 3, 7, 8, 9])
+def test_stage_scale_is_numpys_abs_max_nan_included(d):
+    rng = np.random.default_rng(d)
+    for k in range(200):
+        v = rng.standard_normal(d) * 10.0 ** rng.uniform(-40, 20, d)
+        if k % 2:
+            v[rng.random(d) < 0.3] = rng.choice([math.nan, math.inf, -math.inf, -0.0, 1e-31])
+        expected = np.abs(v).max(initial=sdirk._TINY)
+        got = sdirk._abs_max(v)
+        assert got == expected or (math.isnan(got) and math.isnan(expected))
+
+
+def test_a_model_that_turns_nan_ends_step_too_small_with_nan_predictors():
+    rob = robertson()
+    nan_late = dataclasses.replace(
+        rob, eval_G=lambda t, y: rob.eval_G(t, y) * (math.nan if t > 0.5 else 1.0)
+    )
+    for correction in ("none", "final"):
+        traj = integrate(nan_late, SolverConfig(correction=correction), 0.0, 5.0, rob.y0)
+        assert traj.status == TrajectoryStatus.STEP_TOO_SMALL
+        assert math.isnan(traj.attempts.min_predictor[-1])
+        assert np.all(np.isfinite(traj.states)) and traj.times[-1] <= 0.5
