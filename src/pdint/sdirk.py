@@ -285,6 +285,15 @@ class Trajectory:
         return len(self.attempts) - self.steps_accepted
 
 
+@dataclass
+class _History:
+    """A run's accepted state before y_n, and whether its last stage 1 ended in Newton."""
+
+    t_prev: float | None = None
+    y_prev: np.ndarray | None = None
+    newton_first: bool = False
+
+
 def _fd_jacobian(model, t, y, f0):
     """Forward-difference Jacobian, one rhs evaluation per column.
 
@@ -383,7 +392,8 @@ def _abs_max(v):
     return math.nan if any(map(math.isnan, vs)) else max([_TINY, *vs])
 
 
-def solve_stage(model, t_stage, y_n, h, a_ii, rhs_accum, newton_factors=None):
+def solve_stage(model, t_stage, y_n, h, a_ii, rhs_accum, newton_factors=None, start=None,
+                picard=True):
     """Solve one implicit stage Y = y_n + rhs_accum + h*a_ii*f(t, Y).
 
     Graph-Laplacian models use the frozen-matrix fixed point
@@ -392,13 +402,16 @@ def solve_stage(model, t_stage, y_n, h, a_ii, rhs_accum, newton_factors=None):
     takes over once two more iterations at the observed rate would not
     converge: d_k * (d_k / d_{k-1})**2 > 1 for the update norms d_k
     below.  Picard runs only while the step holds no factored Newton
-    matrix: given ``newton_factors``, a graph-Laplacian stage starts
-    Newton from y_n with them, since one back-solve costs less than a
-    Picard update that refactors.  H-form models go straight to Newton
-    from y_n + rhs_accum (no G*y structure).  Picard allows
-    ``_STAGE_MAX_ITER // 2`` iterations, Newton ``_STAGE_MAX_ITER`` per
-    start.  A failed Newton is retried once from clip(y_n + rhs_accum)
-    with a fresh matrix, unless that would repeat it.
+    matrix and ``picard`` is true: given ``newton_factors``, a
+    graph-Laplacian stage starts Newton with them, since one back-solve
+    costs less than a Picard update that refactors.  H-form models go
+    straight to Newton (no G*y structure).  Both start from ``start``,
+    clipped at 0 for a graph-Laplacian model, whose G is a Laplacian
+    only there; without it, from y_n (graph-Laplacian) or
+    y_n + rhs_accum (H-form).  Picard allows ``_STAGE_MAX_ITER // 2``
+    iterations, Newton ``_STAGE_MAX_ITER`` per start.  A failed Newton
+    is retried once from clip(y_n + rhs_accum) with a fresh matrix,
+    unless that would repeat it.
     Returns ``(Y, factors)``: Newton's factored I - h*a_ii*J, which the
     next stage of the step takes as ``newton_factors`` (same h*a_ii).
 
@@ -419,7 +432,9 @@ def solve_stage(model, t_stage, y_n, h, a_ii, rhs_accum, newton_factors=None):
     atol_it = _STAGE_TOL * np.minimum(np.maximum(model.y_scale, _TINY), scale)
     h_aii = h * a_ii
     y = y_n if model.multiplicand_is_state else rhs
-    if model.multiplicand_is_state and newton_factors is None:
+    if start is not None:  # G is a Laplacian only on the nonnegative orthant
+        y = np.maximum(start, 0.0) if model.multiplicand_is_state else start
+    if model.multiplicand_is_state and newton_factors is None and picard:
         eye = np.eye(y_n.size)
         prev = math.inf
         for _ in range(_STAGE_MAX_ITER // 2):
@@ -436,10 +451,10 @@ def solve_stage(model, t_stage, y_n, h, a_ii, rhs_accum, newton_factors=None):
         return _newton_stage(model, t_stage, rhs, h_aii, y, atol_it, newton_factors)
     except StageConvergenceError:
         # Newton from a Picard iterate or y_n can find no descent (stratospheric sdirk21, h = 3600 s)
-        start = clip(rhs)
-        if newton_factors is None and np.array_equal(start, y):
+        restart = clip(rhs)
+        if newton_factors is None and np.array_equal(restart, y):
             raise  # the restart would repeat the failed attempt
-        return _newton_stage(model, t_stage, rhs, h_aii, start, atol_it, None)
+        return _newton_stage(model, t_stage, rhs, h_aii, restart, atol_it, None)
 
 
 def predictor_step(model, t_n, y_n, h, config: SolverConfig):
@@ -457,7 +472,7 @@ def predictor_step(model, t_n, y_n, h, config: SolverConfig):
     return _predict(model, t_n, y_n, h, config)[:4]
 
 
-def _predict(model, t_n, y_n, h, config):
+def _predict(model, t_n, y_n, h, config, history=None):
     """:func:`predictor_step`, and the matrix that gave each stage its slope.
 
     The fifth result holds, per stage, the matrix at the stage as solved,
@@ -470,12 +485,27 @@ def _predict(model, t_n, y_n, h, config):
     diag = CorrectionDiagnostics()
     stages, fs, slope_mats, mats = [], [], [], []
     factors = None  # every stage of the step has the same h*gamma
+    start, picard = None, True
+    if history is not None:
+        picard = not history.newton_first
+        if history.t_prev is not None:  # the line through the last two accepted states
+            start = y_n + (c[0] * h / (t_n - history.t_prev)) * (y_n - history.y_prev)
     for i in range(tab.s):
         rhs_accum = np.zeros(y_n.shape)
         for j in range(i):
             rhs_accum += (h * a[i][j]) * fs[j]
         t_i = t_n + c[i] * h
-        y_p, factors = solve_stage(model, t_i, y_n, h, a[i][i], rhs_accum, factors)
+        if i > 0:  # the line through y_n and the stage before, as solved
+            start = y_n + (c[i] / c[i - 1]) * (y_p - y_n) if c[i - 1] != 0.0 else None
+            picard = True
+        try:
+            y_p, factors = solve_stage(model, t_i, y_n, h, a[i][i], rhs_accum, factors, start, picard)
+        except StageConvergenceError:
+            if start is None and picard:
+                raise
+            y_p, factors = solve_stage(model, t_i, y_n, h, a[i][i], rhs_accum, factors)
+        if i == 0 and history is not None:
+            history.newton_first = factors is not None
         y_i, f_i, m_i = y_p, None, None
         if not all_stage or i == tab.s - 1:  # the slope at the stage as solved
             f_i, m_i = eval_slope(model, t_i, y_p)
@@ -553,14 +583,18 @@ def _all_stage_correction(model, config, i, t_i, y_n, h, y_p, m_p, stages, mats,
     return y_i, m_i @ model.multiplicand(y_i)
 
 
-def corrected_step(model, t_n, y_n, h, config: SolverConfig) -> StepOutcome:
+def corrected_step(model, t_n, y_n, h, config: SolverConfig, history=None) -> StepOutcome:
     """One attempted step: predictor, optional correction, error estimate.
 
     Whether the step is accepted, and the next step size, is left to
-    :func:`integrate`.
+    :func:`integrate`.  Stage i > 1 starts from y_n + (c_i/c_{i-1})*(Y_{i-1} - y_n).
+    With the run's ``history``, stage 1 starts from the line through its
+    last two accepted states, and skips Picard if the last stage 1 ended
+    in Newton.  A stage that fails from such a start is solved again from
+    :func:`solve_stage`'s default start, with the same carried factors.
     """
     mode = config.correction
-    stages, y_pred, y_hat, diag, slope_mats = _predict(model, t_n, y_n, h, config)
+    stages, y_pred, y_hat, diag, slope_mats = _predict(model, t_n, y_n, h, config, history)
     # all-stage correction has already corrected the last stage
     y_corr = stages[-1] if mode == CorrectionMode.ALL else y_pred
     if mode == CorrectionMode.FINAL:
@@ -590,7 +624,8 @@ def integrate(model, config: SolverConfig, t0: float, tf: float, y0) -> Trajecto
     a step is accepted.  A failed solve also halves the step.  The run
     ends ``step_too_small`` once the step falls below
     ``1e4 * machine_epsilon * max(|t0|, |tf|)``; a span not above that
-    floor is a ``ConfigurationError``.
+    floor is a ``ConfigurationError``.  Each run keeps its own
+    :class:`_History` for :func:`corrected_step`'s stage starts.
     """
     h_min = 1e4 * np.finfo(float).eps * max(abs(t0), abs(tf))  # also the end tolerance
     if not (math.isfinite(t0) and math.isfinite(tf) and tf - t0 > h_min):
@@ -613,6 +648,7 @@ def integrate(model, config: SolverConfig, t0: float, tf: float, y0) -> Trajecto
     states, attempts = [y], []  # attempts: one ATTEMPT_DTYPE row tuple each
     status = TrajectoryStatus.COMPLETED
     growth_locked = False
+    history = _History()
     t = t0
     while tf - t > h_min:
         if len(attempts) >= _MAX_ATTEMPTS:
@@ -624,7 +660,7 @@ def integrate(model, config: SolverConfig, t0: float, tf: float, y0) -> Trajecto
         else:
             h_try = min(h, tf - t)
         try:
-            out = corrected_step(model, t, y, h_try, config)
+            out = corrected_step(model, t, y, h_try, config, history)
         except (StageConvergenceError, SingularMatrixError):
             out = None
         min_pred = math.nan if out is None else float(out.y_pred.min())
@@ -632,6 +668,7 @@ def integrate(model, config: SolverConfig, t0: float, tf: float, y0) -> Trajecto
         accept = passed and not (config.positivity_guard_rejection and min_pred < 0.0)
         attempts.append((t, h_try, accept, min_pred, out.diagnostics.clip_count if accept else 0))
         if accept:
+            history.t_prev, history.y_prev = t, y
             t += h_try
             y = out.y_corrected
             states.append(y)

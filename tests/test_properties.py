@@ -1,9 +1,10 @@
-"""Property tests of one corrected step over random graph-Laplacian and H-form models.
+"""Property tests of one corrected step, and of whole runs, over random models.
 
 Hypothesis draws the model, the state, the step size, the tableau and
 the correction mode; ``derandomize=True`` makes every run draw the same
 examples, so the tests are deterministic.  The tableau is a built-in one,
-or a random stiffly accurate one over time-dependent rates.
+or a random stiffly accurate one over time-dependent rates.  A whole run
+also draws its step mode and the positivity guard.
 """
 
 import numpy as np
@@ -20,10 +21,13 @@ from pdint.pds import (
     assemble_h_from_destruction,
 )
 from pdint.sdirk import (
+    _STAGE_TOL,
     ButcherTableau,
     SolverConfig,
     StageConvergenceError,
+    TrajectoryStatus,
     corrected_step,
+    integrate,
     predictor_step,
 )
 
@@ -169,3 +173,48 @@ def test_nonnegative_weights_keep_mass_under_time_dependent_rates(step):
 @given(timed_steps(negative=True))
 def test_negative_weights_keep_mass_under_time_dependent_rates(step):
     _keeps_mass_at_stage_times(step)
+
+
+@st.composite
+def runs(draw):
+    """A run of 5 to 30 steps of a timed_steps model, at most 1 time unit long."""
+    model, y0, h, tab, _ = draw(timed_steps(negative=draw(st.booleans())))
+    method = draw(st.one_of(st.just(tab), st.sampled_from(["sdirk21", "sdirk32", "sdirk43"])))
+    correction = draw(st.sampled_from(["none", "final", "all"]))
+    n = draw(st.integers(5, 30))
+    span = min(n * h, 1.0)  # rates grow like exp(8 t)
+    if draw(st.booleans()):
+        config = SolverConfig(method=method, mode="fixed", h_fixed=span / n, correction=correction)
+    else:
+        guard = draw(st.booleans())
+        config = SolverConfig(method=method, h0=span / n, atol=1e-3, rtol=1e-3,
+                              correction=correction, positivity_guard_rejection=guard)
+    return model, y0, span, config
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(runs())
+def test_a_run_keeps_its_guarantees_and_a_consistent_record(run):
+    model, y0, span, config = run
+    traj = integrate(model, config, 0.0, span, y0)  # no exception escapes
+    assert isinstance(traj.status, TrajectoryStatus)
+    states, times = traj.states, traj.times
+    assert len(times) == len(states) == traj.steps_accepted + 1
+    assert np.all(np.diff(times) > 0.0)
+    if traj.status == TrajectoryStatus.COMPLETED:
+        assert abs(traj.h_used.sum() - span) <= 1e4 * np.finfo(float).eps * span  # the end tolerance
+    if config.correction != "none":
+        assert np.all(np.isfinite(states)) and states.min() >= 0.0
+    c = config.tab.c
+    for inv in model.invariants:
+        values = traj.invariant_values[inv.label]
+        steps = zip(times, traj.h_used[1:], states, states[1:], values, values[1:])
+        for t, h, y, y_next, before, after in steps:
+            if h * max(np.abs(model.matrix(t + ci * h, y)).max() for ci in c) > MASS_REACH:
+                continue
+            bound = 1e-12 * abs(before)
+            if config.correction == "none":
+                # an uncorrected step moves the invariant by its last stage's residual,
+                # which the stage test keeps below d * tol * (1 + max|Y|) at y_scale = 1
+                bound += model.dim * _STAGE_TOL * (1.0 + np.abs(y_next).max())
+            assert abs(after - before) <= bound, (t, h)

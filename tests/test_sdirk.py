@@ -531,8 +531,8 @@ def test_guard_rejection_halves_the_step(monkeypatch):
     errors = {}
     real = sdirk.corrected_step
 
-    def step(model, t, y, h, config):
-        out = real(model, t, y, h, config)
+    def step(model, t, y, h, config, history=None):
+        out = real(model, t, y, h, config, history)
         errors[t, h] = out.err
         return out
 
@@ -567,8 +567,8 @@ def test_attempt_record_holds_each_step_once(monkeypatch):
     clips = {}
     real = sdirk.corrected_step
 
-    def step(model, t, y, h, config):
-        out = real(model, t, y, h, config)
+    def step(model, t, y, h, config, history=None):
+        out = real(model, t, y, h, config, history)
         clips[t, h] = out.diagnostics.clip_count
         return out
 
@@ -704,6 +704,48 @@ def test_stages_after_the_first_newton_factorization_skip_picard(monkeypatch, ne
     assert len(solves) == 0
     y_oracle = newton_stage_oracle(model, t2, model.y0, h, tab.A[1, 1], rhs_accum)
     assert np.max(np.abs(y2 - y_oracle)) <= 1e-10 * (1.0 + np.max(np.abs(y_oracle)))
+
+
+@pytest.mark.parametrize("problem, h", [("mapk", 0.5), ("stratospheric", 2.0**-10)])
+def test_stage_1_skips_picard_exactly_when_the_last_stage_1_ended_in_newton(monkeypatch, problem, h):
+    # MAPK's first stage 1 hands over to Newton, so the next step's stage 1
+    # starts in Newton; stratospheric Picard converges, so it keeps Picard
+    from pdint import problems
+
+    model = getattr(problems, problem)()
+    solves = _count_calls(monkeypatch, "lu_solve")
+    real, firsts = sdirk.solve_stage, []
+
+    def stage(model, t, y_n, h, a_ii, rhs_accum, *args):
+        before = len(solves)
+        y, factors = real(model, t, y_n, h, a_ii, rhs_accum, *args)
+        if not rhs_accum.any():  # stage 1
+            firsts.append((len(solves) - before, factors is not None))
+        return y, factors
+
+    monkeypatch.setattr(sdirk, "solve_stage", stage)
+    config = SolverConfig(mode="fixed", h_fixed=h)
+    traj = integrate(model, config, model.t0, model.t0 + 2 * h, model.y0)
+    assert traj.status == TrajectoryStatus.COMPLETED and traj.steps_accepted == 2
+    (picard_1, newton_1), (picard_2, _) = firsts
+    assert picard_1 > 0 and newton_1 == (problem == "mapk")
+    assert (picard_2 == 0) == newton_1
+
+
+def test_no_state_outlives_a_run():
+    # a run's stage starts come from its own accepted states only
+    from pdint.problems import mapk
+
+    config = SolverConfig(method="sdirk32", correction="final")
+
+    def run(model, tf):
+        traj = integrate(model, config, model.t0, tf, model.y0)
+        assert traj.status == TrajectoryStatus.COMPLETED and traj.steps_accepted > 2
+        return traj.states.tobytes(), traj.attempts.tobytes()
+
+    first = run(robertson(), 100.0)
+    run(mapk(), 10.0)
+    assert run(robertson(), 100.0) == first
 
 
 @pytest.mark.parametrize("method", ["sdirk21", "sdirk32"])
@@ -875,33 +917,66 @@ def test_robertson_sdirk32_large_fixed_steps_complete(h):
 
 @pytest.mark.parametrize("mode", ["none", "final", "all"])
 def test_newton_restart_completes_large_fixed_photochemistry_steps(monkeypatch, mode):
-    # at h = 3600 s from 12 h, the uncorrected run has a second stage whose
-    # Newton, started from y_n with the first stage's factors, finds no
-    # descent; only the restart from clip(rhs) with a fresh matrix
-    # completes that step
+    # at h = 3600 s from 12 h, the corrected runs reach a stage 1 (at 33 h)
+    # whose Newton, started from the line through the last two states
+    # without Picard, fails; solved again from y_n, Picard first, it
+    # converges and the run completes
     from pdint.pds import invariant_error
 
-    real, failures = sdirk._newton_stage, []
+    real, fallbacks = sdirk.solve_stage, []
 
-    def newton(*args):
+    def stage(*args):
         try:
             return real(*args)
         except StageConvergenceError:
-            failures.append(None)
+            fallbacks.append(args[7:])  # the start and the handover that failed
             raise
 
-    monkeypatch.setattr(sdirk, "_newton_stage", newton)
+    monkeypatch.setattr(sdirk, "solve_stage", stage)
     model = stratospheric()
     config = SolverConfig(method="sdirk21", mode="fixed", h_fixed=3600.0, correction=mode)
     traj = integrate(model, config, 12 * 3600.0, 36 * 3600.0, model.y0)
     assert traj.status == TrajectoryStatus.COMPLETED, traj.attempts[-1]
-    if mode == "none":
-        assert len(failures) >= 1, "the restart was not exercised"
+    if mode != "none":
+        assert fallbacks and all(start is not None for start, _ in fallbacks)
     assert traj.steps_accepted == 24
     m_n = next(inv for inv in model.invariants if inv.label == "M_N")
     assert invariant_error(traj, m_n.w) <= 1e-12
     if mode != "none":
         assert traj.min_component >= 0.0
+
+
+def test_newton_restart_solves_a_stage_with_no_descent_from_y_n(monkeypatch):
+    # sdirk21 steps of h = 3600 s from 12 h, each stage from solve_stage's
+    # default start, reach 15 h; there stage 2's Newton, started from y_n
+    # with stage 1's factors, finds no descent, and only the restart from
+    # clip(rhs) with a fresh matrix solves that stage
+    real, failed_at = sdirk._newton_stage, []
+
+    def newton(*args):
+        try:
+            return real(*args)
+        except StageConvergenceError:
+            failed_at.append((args[1], args[-1] is not None))  # stage time, carried factors
+            raise
+
+    monkeypatch.setattr(sdirk, "_newton_stage", newton)
+    model, tab, h = stratospheric(), tableau("sdirk21"), 3600.0
+    a, c = tab.A, tab.c
+    t, y = 12 * 3600.0, model.y0
+    while t < 16 * 3600.0:
+        y_n = y
+        y1, factors = solve_stage(model, t + c[0] * h, y_n, h, a[0, 0], np.zeros(model.dim))
+        assert factors is not None
+        rhs_accum = h * a[1, 0] * eval_rhs(model, t + c[0] * h, y1)
+        y, _ = solve_stage(model, t + h, y_n, h, a[1, 1], rhs_accum, factors)
+        t += h
+    assert failed_at == [(16 * 3600.0, True)], "the restart was not exercised"
+    rhs = y_n + rhs_accum
+    resid = y - rhs - h * a[1, 1] * eval_rhs(model, t, y)
+    scale = max(np.abs(y_n).max(), np.abs(rhs).max())
+    weights = sdirk._STAGE_TOL * (np.clip(model.y_scale, 1e-30, scale) + np.abs(y))
+    assert np.sqrt(np.mean((resid / weights) ** 2)) <= 1.0
 
 
 @pytest.mark.parametrize("mode", ["final", "all"])
