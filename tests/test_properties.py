@@ -206,7 +206,7 @@ def test_a_run_keeps_its_guarantees_and_a_consistent_record(run):
     if config.correction != "none":
         assert np.all(np.isfinite(states)) and states.min() >= 0.0
     c = config.tab.c
-    for inv in model.invariants:
+    for inv in (inv for inv in model.invariants if inv.exact):
         values = traj.invariant_values[inv.label]
         steps = zip(times, traj.h_used[1:], states, states[1:], values, values[1:])
         for t, h, y, y_next, before, after in steps:

@@ -732,6 +732,29 @@ def test_stage_1_skips_picard_exactly_when_the_last_stage_1_ended_in_newton(monk
     assert (picard_2 == 0) == newton_1
 
 
+@pytest.mark.parametrize("kind", ["graph_laplacian", "h_form"])
+def test_only_a_graph_laplacian_start_is_clipped(kind):
+    # G is a Laplacian only on the nonnegative orthant; an H-form start is taken as given
+    from pdint.problems import KdvConfig, kdv
+
+    if kind == "graph_laplacian":
+        model, field = robertson(), "eval_G"
+    else:
+        model, field = kdv(KdvConfig(n_cells=16)), "eval_rhs"
+    seen, real = [], getattr(model, field)
+
+    def recording(*args):
+        seen.append(args[-1].copy())
+        return real(*args)
+
+    model = dataclasses.replace(model, **{field: recording})
+    start = model.y0.copy()
+    start[1] = -0.5 * abs(start[1]) - 1e-3
+    gamma = tableau("sdirk21").gamma
+    solve_stage(model, model.t0, model.y0, 1e-3, gamma, np.zeros(model.dim), None, start)
+    assert seen[0].tobytes() == (clip(start) if kind == "graph_laplacian" else start).tobytes()
+
+
 def test_no_state_outlives_a_run():
     # a run's stage starts come from its own accepted states only
     from pdint.problems import mapk
