@@ -346,12 +346,14 @@ def _newton_stage(model, t, rhs, h_aii, y_init, atol_it, a_fact):
 
     The Jacobian comes from finite differences; I - h*a_ii*J is factored
     once and its factors are reused while convergence is fast.  Steps
-    backtrack whenever the weighted residual would grow.
+    backtrack whenever the weighted residual would grow.  Once converged,
+    one more update with the last factors moves w.Y by -w.r for an exact
+    invariant w (w^T J = 0), so w.Y = w.rhs up to round-off.
 
     ``a_fact`` holds stale factors to start from, or is None; returns the
     stage and the factors last used.
     """
-    y = y_init.copy()
+    y, last = y_init.copy(), a_fact
     f = eval_rhs(model, t, y)
     resid = y - rhs - h_aii * f
     rn = weighted_rms(resid, y, atol_it, _STAGE_TOL)
@@ -361,6 +363,7 @@ def _newton_stage(model, t, rhs, h_aii, y_init, atol_it, a_fact):
         fresh = a_fact is None
         if fresh:
             a_fact = lu_factor(identity_minus(h_aii, _fd_jacobian(model, t, y, f)))
+        last = a_fact
         delta = lu_back_solve(a_fact, -resid)
         alpha = 1.0
         while alpha >= 1e-8:
@@ -381,6 +384,8 @@ def _newton_stage(model, t, rhs, h_aii, y_init, atol_it, a_fact):
         y, f, resid, rn = y_new, f_new, r_new, rn_new
     if rn > 1.0:
         raise StageConvergenceError(f"stage iteration exceeded budget at t={t}")
+    if last is not None:  # w.Y = w.rhs up to round-off
+        y = y + lu_back_solve(last, -resid)
     return y, a_fact
 
 
@@ -405,11 +410,14 @@ def solve_stage(model, t_stage, y_n, h, a_ii, rhs_accum, newton_factors=None, st
     matrix and ``picard`` is true: given ``newton_factors``, a
     graph-Laplacian stage starts Newton with them, since one back-solve
     costs less than a Picard update that refactors.  H-form models go
-    straight to Newton (no G*y structure).  Both start from ``start``,
-    clipped at 0 for a graph-Laplacian model, whose G is a Laplacian
-    only there; without it, from y_n (graph-Laplacian) or
-    y_n + rhs_accum (H-form).  Picard allows ``_STAGE_MAX_ITER // 2``
-    iterations, Newton ``_STAGE_MAX_ITER`` per start.  A failed Newton
+    straight to Newton (no G*y structure).  Both start from y_n
+    (graph-Laplacian) or y_n + rhs_accum (H-form), unless given a
+    ``start``; a graph-Laplacian one with a negative entry is not
+    used, since G is a Laplacian only on the nonnegative orthant.
+    Picard allows ``_STAGE_MAX_ITER // 2`` iterations, Newton
+    ``_STAGE_MAX_ITER`` per start.  A failure from ``start``, or with
+    Picard skipped, is solved again from the default start, Picard
+    first, with the same ``newton_factors``; a Newton that still fails
     is retried once from clip(y_n + rhs_accum) with a fresh matrix,
     unless that would repeat it.
     Returns ``(Y, factors)``: Newton's factored I - h*a_ii*J, which the
@@ -432,29 +440,35 @@ def solve_stage(model, t_stage, y_n, h, a_ii, rhs_accum, newton_factors=None, st
     atol_it = _STAGE_TOL * np.minimum(np.maximum(model.y_scale, _TINY), scale)
     h_aii = h * a_ii
     y = y_n if model.multiplicand_is_state else rhs
-    if start is not None:  # G is a Laplacian only on the nonnegative orthant
-        y = np.maximum(start, 0.0) if model.multiplicand_is_state else start
-    if model.multiplicand_is_state and newton_factors is None and picard:
-        eye = np.eye(y_n.size)
-        prev = math.inf
-        for _ in range(_STAGE_MAX_ITER // 2):
-            g = model.matrix(t_stage, y)
-            y_new = lu_solve(eye - h_aii * g, rhs)
-            dn = weighted_rms(y_new - y, y_new, atol_it, _STAGE_TOL)
-            y = y_new
-            if dn <= 1.0:
-                return y, None
-            if dn * (dn / prev) ** 2 > 1.0:
-                break  # two more updates at this rate would not converge: Newton
-            prev = dn
-    try:
-        return _newton_stage(model, t_stage, rhs, h_aii, y, atol_it, newton_factors)
-    except StageConvergenceError:
-        # Newton from a Picard iterate or y_n can find no descent (stratospheric sdirk21, h = 3600 s)
-        restart = clip(rhs)
-        if newton_factors is None and np.array_equal(restart, y):
-            raise  # the restart would repeat the failed attempt
-        return _newton_stage(model, t_stage, rhs, h_aii, restart, atol_it, None)
+    can_picard = model.multiplicand_is_state and newton_factors is None
+    if start is not None and model.multiplicand_is_state and start.min() < 0.0:
+        start = None  # G is a Laplacian only on the nonnegative orthant
+    ladder = [(y, can_picard)]  # the default start, Picard first where it can run
+    if start is not None or (can_picard and not picard):  # a guess goes first
+        ladder.insert(0, (y if start is None else start, can_picard and picard))
+    for y, use_picard in ladder:
+        if use_picard:
+            eye = np.eye(y_n.size)
+            prev = math.inf
+            for _ in range(_STAGE_MAX_ITER // 2):
+                g = model.matrix(t_stage, y)
+                y_new = lu_solve(eye - h_aii * g, rhs)
+                dn = weighted_rms(y_new - y, y_new, atol_it, _STAGE_TOL)
+                y = y_new
+                if dn <= 1.0:
+                    return y, None
+                if dn * (dn / prev) ** 2 > 1.0:
+                    break  # two more updates at this rate would not converge: Newton
+                prev = dn
+        try:
+            return _newton_stage(model, t_stage, rhs, h_aii, y, atol_it, newton_factors)
+        except StageConvergenceError as err:
+            failure = err
+    # Newton from a Picard iterate or y_n can find no descent (stratospheric sdirk21, h = 3600 s)
+    restart = clip(rhs)
+    if newton_factors is None and np.array_equal(restart, y):
+        raise failure  # the restart would repeat the failed attempt
+    return _newton_stage(model, t_stage, rhs, h_aii, restart, atol_it, None)
 
 
 def predictor_step(model, t_n, y_n, h, config: SolverConfig):
@@ -498,12 +512,7 @@ def _predict(model, t_n, y_n, h, config, history=None):
         if i > 0:  # the line through y_n and the stage before, as solved
             start = y_n + (c[i] / c[i - 1]) * (y_p - y_n) if c[i - 1] != 0.0 else None
             picard = True
-        try:
-            y_p, factors = solve_stage(model, t_i, y_n, h, a[i][i], rhs_accum, factors, start, picard)
-        except StageConvergenceError:
-            if start is None and picard:
-                raise
-            y_p, factors = solve_stage(model, t_i, y_n, h, a[i][i], rhs_accum, factors)
+        y_p, factors = solve_stage(model, t_i, y_n, h, a[i][i], rhs_accum, factors, start, picard)
         if i == 0 and history is not None:
             history.newton_first = factors is not None
         y_i, f_i, m_i = y_p, None, None
@@ -590,8 +599,8 @@ def corrected_step(model, t_n, y_n, h, config: SolverConfig, history=None) -> St
     :func:`integrate`.  Stage i > 1 starts from y_n + (c_i/c_{i-1})*(Y_{i-1} - y_n).
     With the run's ``history``, stage 1 starts from the line through its
     last two accepted states, and skips Picard if the last stage 1 ended
-    in Newton.  A stage that fails from such a start is solved again from
-    :func:`solve_stage`'s default start, with the same carried factors.
+    in Newton.  A stage that fails from such a start is solved again by
+    :func:`solve_stage` from its default start.
     """
     mode = config.correction
     stages, y_pred, y_hat, diag, slope_mats = _predict(model, t_n, y_n, h, config, history)
